@@ -1,12 +1,11 @@
 //! The Rust lexer underlying every analyzer pass.
 //!
 //! Produces a flat token stream with 1-based line numbers plus a
-//! per-line comment map. This subsumes the per-line code/comment
-//! split of `xtask::scan` (whose behavior is pinned by parity tests)
-//! with real tokens: identifiers and keywords, lifetimes, string and
-//! char literals in every flavor (`"…"`, `r#"…"#`, `b"…"`, `br#"…"#`,
-//! `'c'`, `b'c'`), numeric literals with their text (so rules can
-//! recognize float literals), and single-character punctuation.
+//! per-line comment map. Tokens cover identifiers and keywords,
+//! lifetimes, string and char literals in every flavor (`"…"`,
+//! `r#"…"#`, `b"…"`, `br#"…"#`, `'c'`, `b'c'`), numeric literals with
+//! their text (so rules can recognize float literals), and
+//! single-character punctuation.
 //!
 //! The lexer never fails: unexpected bytes become punctuation tokens
 //! and an unterminated literal simply runs to end of file. Rules must
@@ -396,6 +395,17 @@ mod tests {
         assert!(!ids
             .iter()
             .any(|s| s == "unsafe" || s == "quote" || s == "x" || s == "n"));
+        // A comment opener inside a byte raw string is not a comment.
+        let lexed =
+            lex("let b = br#\"unsafe { /* SAFETY */ }\"#;\nunsafe { op() } // SAFETY: real\n");
+        let unsafe_lines: Vec<u32> = lexed
+            .tokens
+            .iter()
+            .filter(|t| matches!(&t.tok, Tok::Ident(s) if s == "unsafe"))
+            .map(|t| t.line)
+            .collect();
+        assert_eq!(unsafe_lines, [2]);
+        assert_eq!(lexed.comments.keys().copied().collect::<Vec<_>>(), [2]);
     }
 
     #[test]
@@ -413,6 +423,14 @@ mod tests {
             .count();
         assert_eq!(lifetimes, 2);
         assert_eq!(literals, 1);
+        // Char literals holding comment openers or an escaped quote,
+        // and loop labels, must neither start a comment nor swallow the
+        // rest of the line.
+        let src = "let c = '/'; let s = '*'; let q = '\\''; 'outer: loop { break 'outer; } unsafe {} // SAFETY: here\n";
+        let lexed = lex(src);
+        assert!(idents(src).contains(&"unsafe".to_string()));
+        assert!(lexed.comments[&1].contains("SAFETY"));
+        assert!(!lexed.comments[&1].contains("let"));
     }
 
     #[test]
@@ -425,6 +443,9 @@ mod tests {
         assert!(lexed.comments[&3].contains("three"));
         assert_eq!(idents(src), ["a", "b"]);
         assert_eq!(lexed.tokens[1].line, 3); // `b` sits on line 3
+
+        // Two opens, one close: everything after stays comment.
+        assert!(idents("/* one /* two */ still comment\nunsafe\n").is_empty());
     }
 
     #[test]

@@ -157,12 +157,11 @@ pub fn block_sites() -> usize {
     (sites / SITE_BLOCK * SITE_BLOCK).max(MIN_BLOCK_SITES)
 }
 
-/// One deferred `newview` of a blocked batch: everything that is
-/// constant across the site blocks (per-branch tables, child
-/// addressing), precomputed at plan time exactly like the unblocked
-/// path computes it once per call. `child_*` indices are
-/// engine-specific (inner-node index for the full engine, pool slot
-/// for the recomputing engine); `tip_*` are tree tip ids.
+/// One planned `newview`: everything that is constant across site
+/// blocks (per-branch tables, child addressing), computed once per
+/// node. The blocked batch, the unblocked walk (one block `[0, n)`)
+/// and the compressed path all run it. `child_*` are the engine's CLA
+/// slots; `tip_*` are tree tip ids.
 // Tt carries two inline 2 KiB LUTs while Ii carries only indices;
 // boxing them would add a pointer chase per flushed block for a
 // O(inner nodes)-sized plan Vec that lives one likelihood call.
@@ -187,18 +186,18 @@ pub(crate) enum BlockJob {
         tip_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA index (engine-specific).
+        /// Right child's CLA slot.
         child_r: usize,
     },
     /// Two inner children.
     Ii {
         /// Left child's fused P matrix.
         p_l: FusedPmat,
-        /// Left child's CLA index (engine-specific).
+        /// Left child's CLA slot.
         child_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA index (engine-specific).
+        /// Right child's CLA slot.
         child_r: usize,
     },
 }

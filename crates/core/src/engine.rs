@@ -1,12 +1,23 @@
 //! The likelihood engine: kernels wired to a tree.
 //!
-//! [`LikelihoodEngine`] owns one CLA per inner node and re-computes
-//! CLAs lazily, RAxML-traversal-descriptor style: before evaluating at
+//! [`LikelihoodEngine`] keeps CLAs in a slot table and re-computes
+//! them lazily, RAxML-traversal-descriptor style: before evaluating at
 //! a virtual root, it walks the directed post-order and re-runs
 //! `newview` only for nodes whose cached orientation, child identity,
 //! child branch lengths, child CLA stamps, or model version changed.
 //! This is what makes thousands of `evaluate`/`newview` calls per
 //! second affordable during tree search (§V-C).
+//!
+//! The default engine owns one slot per inner node, so no CLA is ever
+//! evicted. [`LikelihoodEngine::with_pool`] caps the table at fewer
+//! slots — the memory-saving CLA recomputation of Izquierdo-Carrasco
+//! et al. that §V-A lists as unsupported on the MIC, relevant because
+//! the Phi's 8 GB bind at 4000K sites (§VI-B2). A CLA is pinned from
+//! the moment it is computed until its parent consumes it (the two
+//! root-adjacent CLAs stay pinned to the end); an acquire with no free
+//! slot evicts an unpinned CLA, which the next traversal that needs it
+//! recomputes. [`crate::recompute::min_pool_slots`] gives the smallest
+//! viable pool.
 //!
 //! An engine may cover a sub-range of the alignment's patterns; worker
 //! threads in `phylo-parallel` each own an engine over their slice and
@@ -76,12 +87,19 @@ struct CacheKey {
     model_version: u64,
 }
 
-/// One stale `newview` deferred into a cache-blocked batch: all
-/// bookkeeping (stamps, cache key, repeat counters) is done at plan
-/// time in schedule order, so only the kernel work itself is
-/// re-ordered into site blocks.
+/// Marks an evicted inner node in `resident` and an unused slot in
+/// `slot_owner`.
+const FREE: usize = usize::MAX;
+
+/// One stale `newview`, planned in schedule order: all bookkeeping
+/// (slot, stamp, cache key, repeat counters) is done at plan time, so
+/// only the kernel work itself may be deferred into a cache-blocked
+/// batch.
 struct PlannedNewview {
+    /// Inner-node index (selects the repeat table).
     idx: usize,
+    /// Output slot.
+    slot: usize,
     op: KernelOp,
     job: BlockJob,
 }
@@ -137,7 +155,14 @@ pub struct LikelihoodEngine {
     weights: Vec<u32>,
     num_patterns: usize,
     num_taxa: usize,
-    clas: Vec<Cla>,
+    /// CLA storage: inner node `i`'s CLA lives in `slots[resident[i]]`.
+    slots: Vec<Cla>,
+    /// Inner node → slot (`FREE` = evicted or never computed).
+    resident: Vec<usize>,
+    /// Slot → inner node (`FREE` = unused).
+    slot_owner: Vec<usize>,
+    /// The state each CLA was computed in; kept across eviction, so a
+    /// CLA recomputed under an unchanged key keeps its stamp.
     valid: Vec<Option<CacheKey>>,
     stamps: Vec<u64>,
     next_stamp: u64,
@@ -189,6 +214,34 @@ impl LikelihoodEngine {
         config: EngineConfig,
         range: std::ops::Range<usize>,
     ) -> Self {
+        Self::build(tree, aln, config, range, tree.num_inner())
+    }
+
+    /// Builds an engine whose CLA memory is capped at `pool_slots`
+    /// arrays, recomputing evicted CLAs on demand (see the module
+    /// docs). A pool of at least `tree.num_inner()` slots is the full
+    /// engine.
+    ///
+    /// # Panics
+    /// Panics when `pool_slots < 3` — a post-order step needs two
+    /// resident children plus the node being computed.
+    pub fn with_pool(
+        tree: &Tree,
+        aln: &CompressedAlignment,
+        config: EngineConfig,
+        pool_slots: usize,
+    ) -> Self {
+        assert!(pool_slots >= 3, "pool needs at least 3 slots");
+        Self::build(tree, aln, config, 0..aln.num_patterns(), pool_slots)
+    }
+
+    fn build(
+        tree: &Tree,
+        aln: &CompressedAlignment,
+        config: EngineConfig,
+        range: std::ops::Range<usize>,
+        pool_slots: usize,
+    ) -> Self {
         assert!(range.end <= aln.num_patterns(), "range outside alignment");
         assert_eq!(
             tree.num_taxa(),
@@ -211,6 +264,14 @@ impl LikelihoodEngine {
         let tip_row = Self::bind_tips(tree, &row_names);
         let weights: Vec<u32> = aln.weights()[range.clone()].to_vec();
         let num_patterns = weights.len();
+        let num_inner = tree.num_inner();
+        let num_slots = pool_slots.min(num_inner);
+        // A slot per inner node maps one to one and never evicts.
+        let (resident, slot_owner) = if num_slots == num_inner {
+            ((0..num_inner).collect(), (0..num_inner).collect())
+        } else {
+            (vec![FREE; num_inner], vec![FREE; num_slots])
+        };
 
         let params = GtrParams {
             rates: [1.0; 6],
@@ -236,20 +297,20 @@ impl LikelihoodEngine {
             weights,
             num_patterns,
             num_taxa,
-            clas: (0..tree.num_inner())
-                .map(|_| Cla::new(num_patterns))
-                .collect(),
-            valid: vec![None; tree.num_inner()],
-            stamps: vec![0; tree.num_inner()],
+            slots: (0..num_slots).map(|_| Cla::new(num_patterns)).collect(),
+            resident,
+            slot_owner,
+            valid: vec![None; num_inner],
+            stamps: vec![0; num_inner],
             next_stamp: 1,
             model_version: 1,
             sumtable: AlignedVec::zeroed(num_patterns * SITE_STRIDE),
             sum_edge: None,
             stats: KernelStats::new(),
             repeats_mode: config.site_repeats.effective(),
-            repeat_tables: vec![None; tree.num_inner()],
-            repeat_valid: vec![None; tree.num_inner()],
-            repeat_stamps: vec![0; tree.num_inner()],
+            repeat_tables: vec![None; num_inner],
+            repeat_valid: vec![None; num_inner],
+            repeat_stamps: vec![0; num_inner],
             next_repeat_stamp: 1,
             tip_epoch: 1,
             repeat_scratch: None,
@@ -364,14 +425,23 @@ impl LikelihoodEngine {
     /// inner-node index). Diagnostic/test accessor: the cross-backend
     /// and compression equivalence suites compare these arrays
     /// bit-for-bit.
+    ///
+    /// # Panics
+    /// Panics when a bounded pool has evicted that node's CLA.
     #[doc(hidden)]
     pub fn cla_scale(&self, inner: usize) -> &[u32] {
-        self.clas[inner].scale()
+        self.cla(inner + self.num_taxa).scale()
     }
 
-    /// Number of inner nodes (CLAs) this engine owns.
+    /// Number of inner nodes the engine tracks.
     pub fn num_inner(&self) -> usize {
-        self.clas.len()
+        self.resident.len()
+    }
+
+    /// Number of CLA slots: `num_inner()` unless built by
+    /// [`Self::with_pool`] with fewer.
+    pub fn pool_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Work counters accumulated so far.
@@ -395,6 +465,43 @@ impl LikelihoodEngine {
     fn inner_idx(&self, node: NodeId) -> usize {
         debug_assert!(node >= self.num_taxa);
         node - self.num_taxa
+    }
+
+    /// The slot holding inner node `node`'s CLA.
+    fn slot_of(&self, node: NodeId) -> usize {
+        let s = self.resident[self.inner_idx(node)];
+        assert_ne!(s, FREE, "CLA of node {node} evicted (pool too small)");
+        s
+    }
+
+    /// Inner node `node`'s CLA, which must be resident.
+    fn cla(&self, node: NodeId) -> &Cla {
+        &self.slots[self.slot_of(node)]
+    }
+
+    /// Takes a slot for inner node `idx`: a free one if any, else the
+    /// first whose owner is not pinned, evicting that owner.
+    fn acquire_slot(&mut self, idx: usize, pinned: &[bool]) -> usize {
+        let slot = match self.slot_owner.iter().position(|&o| o == FREE) {
+            Some(s) => s,
+            None => {
+                let s = self
+                    .slot_owner
+                    .iter()
+                    .position(|&o| !pinned[o])
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "CLA pool of {} slots too small for this traversal",
+                            self.slots.len()
+                        )
+                    });
+                self.resident[self.slot_owner[s]] = FREE;
+                s
+            }
+        };
+        self.slot_owner[slot] = idx;
+        self.resident[idx] = slot;
+        slot
     }
 
     /// Tip codes for tree tip `node` under the current binding.
@@ -435,21 +542,25 @@ impl LikelihoodEngine {
         FusedPmat::from_prob(&ProbMatrix::new(&self.eigen, self.gamma.rates(), t))
     }
 
-    /// Ensures every CLA needed to evaluate at `root_edge` is valid,
-    /// running `newview` for stale nodes only.
+    /// Ensures every CLA needed to evaluate at `root_edge` is valid and
+    /// resident, running `newview` for stale or evicted nodes only.
     ///
     /// When traversal blocking is on ([`crate::blocking`]), runs of
     /// consecutive stale uncompressed nodes are batched and executed
     /// per site block, so a child's freshly written CLA columns are
     /// still cache-resident when its parent reads them. All cache
     /// bookkeeping happens at plan time in schedule order, making the
-    /// stamps, keys and call counts identical to the straight-line
-    /// walk; compressed nodes act as batch barriers and keep their
-    /// whole-range gather/expand path.
+    /// stamps, keys, slots and call counts identical to the
+    /// straight-line walk; compressed nodes act as batch barriers and
+    /// keep their whole-range gather/expand path.
     pub fn update_partials(&mut self, tree: &Tree, root_edge: EdgeId) {
-        debug_assert_eq!(tree.num_inner(), self.clas.len(), "tree shape changed");
+        debug_assert_eq!(tree.num_inner(), self.num_inner(), "tree shape changed");
         self.ensure_tip_binding(tree);
         let block = self.block_sites;
+        let (ra, rb) = tree.endpoints(root_edge);
+        // A CLA is pinned from the moment it is computed until its
+        // parent consumes it; the root-adjacent ones stay pinned.
+        let mut pinned = vec![false; self.num_inner()];
         let mut batch: Vec<PlannedNewview> = Vec::new();
         for d in full_schedule(tree, root_edge) {
             let ch = children(tree, d.node, d.toward_edge);
@@ -474,28 +585,41 @@ impl LikelihoodEngine {
                 model_version: self.model_version,
             };
             let idx = self.inner_idx(d.node);
-            if self.valid[idx].as_ref() == Some(&key) {
-                continue;
-            }
-            // The compress decision is made exactly once per executed
-            // node (it feeds the profitability metrics).
-            let compress = self.repeats_mode.enabled()
-                && self.repeat_tables[idx]
-                    .as_ref()
-                    .is_some_and(|t| t.compresses_counted(self.repeats_mode));
-            match block {
-                None => self.run_newview(tree, d.node, ch, &key, compress),
-                Some(bs) => {
-                    if compress {
-                        // Compressed nodes run whole-range through the
-                        // gather/expand path; flushing first guarantees
-                        // their children's full CLAs are materialized.
+            let resident = self.resident[idx] != FREE;
+            if !resident || self.valid[idx].as_ref() != Some(&key) {
+                // The compress decision is made exactly once per
+                // executed node (it feeds the profitability metrics).
+                let compress = self.repeats_mode.enabled()
+                    && self.repeat_tables[idx]
+                        .as_ref()
+                        .is_some_and(|t| t.compresses_counted(self.repeats_mode));
+                if let Some(bs) = block {
+                    // Compressed nodes gather whole child CLAs, and
+                    // batched jobs address CLAs by slot: flush before a
+                    // compressed node or an acquire that would evict.
+                    if compress || (!resident && !self.slot_owner.contains(&FREE)) {
                         self.flush_batch(&mut batch, bs);
-                        self.run_newview(tree, d.node, ch, &key, compress);
-                    } else {
-                        let planned = self.plan_newview(tree, d.node, ch, &key);
-                        batch.push(planned);
                     }
+                }
+                if block.is_some() && !compress {
+                    batch.push(self.plan_newview(tree, d.node, ch, key, &pinned));
+                } else {
+                    let _span = crate::span::enter("newview");
+                    let t0 = std::time::Instant::now();
+                    let planned = self.plan_newview(tree, d.node, ch, key, &pinned);
+                    if compress {
+                        self.run_newview_compressed(&planned, t0);
+                    } else {
+                        self.run_block_job(&planned, 0, self.num_patterns);
+                        self.stats
+                            .record_op_timed(planned.op, self.num_patterns, elapsed_ns(t0));
+                    }
+                }
+            }
+            pinned[idx] = true;
+            for &(_, c) in &ch {
+                if !tree.is_tip(c) && c != ra && c != rb {
+                    pinned[self.inner_idx(c)] = false;
                 }
             }
         }
@@ -504,21 +628,31 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Defers one stale `newview` into the current blocked batch,
-    /// performing all of the sequential path's bookkeeping (stamp,
-    /// cache key, call counters) and precomputing the per-branch
-    /// tables exactly as the unblocked call would, once per node.
+    /// Plans one stale `newview`: acquires its output slot, performs
+    /// all of the bookkeeping (stamp, cache key, call counters) and
+    /// precomputes the per-branch tables, once per node. This is the
+    /// one place the tip/tip, tip/inner and inner/inner cases split;
+    /// every executor runs the resulting [`BlockJob`].
     fn plan_newview(
         &mut self,
         tree: &Tree,
         node: NodeId,
         ch: [(EdgeId, NodeId); 2],
-        key: &CacheKey,
+        key: CacheKey,
+        pinned: &[bool],
     ) -> PlannedNewview {
         let idx = self.inner_idx(node);
-        self.stamps[idx] = self.next_stamp;
-        self.next_stamp += 1;
-        self.valid[idx] = Some(key.clone());
+        let slot = match self.resident[idx] {
+            FREE => self.acquire_slot(idx, pinned),
+            s => s,
+        };
+        // An evicted CLA recomputed under its old key is bit-identical
+        // to the one its parents' keys recorded: keep its stamp.
+        if self.valid[idx].as_ref() != Some(&key) {
+            self.stamps[idx] = self.next_stamp;
+            self.next_stamp += 1;
+            self.valid[idx] = Some(key);
+        }
         self.repeat_stats.newview_calls += 1;
         let [(e_l, n_l), (e_r, n_r)] = ch;
         let t_l = tree.length(e_l);
@@ -539,21 +673,21 @@ impl LikelihoodEngine {
                     lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
                     tip_l: n_l,
                     p_r: self.fused_pmat(t_r),
-                    child_r: self.inner_idx(n_r),
+                    child_r: self.slot_of(n_r),
                 },
             ),
             (false, false) => (
                 KernelOp::NewviewIi,
                 BlockJob::Ii {
                     p_l: self.fused_pmat(t_l),
-                    child_l: self.inner_idx(n_l),
+                    child_l: self.slot_of(n_l),
                     p_r: self.fused_pmat(t_r),
-                    child_r: self.inner_idx(n_r),
+                    child_r: self.slot_of(n_r),
                 },
             ),
             (false, true) => unreachable!("children are canonicalized tip-first"),
         };
-        PlannedNewview { idx, op, job }
+        PlannedNewview { idx, slot, op, job }
     }
 
     /// Executes a planned batch cache-blocked: the outer loop walks
@@ -573,32 +707,33 @@ impl LikelihoodEngine {
             let mut b0 = 0;
             while b0 < n {
                 let b1 = (b0 + block_sites).min(n);
-                for (slot, planned) in batch.iter().enumerate() {
+                for (i, planned) in batch.iter().enumerate() {
                     let t0 = std::time::Instant::now();
-                    self.run_block_job(&planned.job, planned.idx, b0, b1);
-                    ns[slot] = ns[slot].saturating_add(elapsed_ns(t0));
+                    self.run_block_job(planned, b0, b1);
+                    ns[i] = ns[i].saturating_add(elapsed_ns(t0));
                 }
                 b0 = b1;
             }
         }
-        for (slot, planned) in batch.iter().enumerate() {
-            self.stats.record_op_timed(planned.op, n, ns[slot]);
+        for (i, planned) in batch.iter().enumerate() {
+            self.stats.record_op_timed(planned.op, n, ns[i]);
         }
         batch.clear();
     }
 
-    /// One `newview` restricted to the site block `[b0, b1)`. The CLA
-    /// layout keeps blocks self-contained: every kernel is a per-site
-    /// function of per-site inputs, the 128-byte site stride keeps any
-    /// block base 64-byte aligned (the explicit-SIMD buffer contract),
-    /// and the underflow-scaling rule is per-site — so the block
-    /// writes exactly the bytes the full-range call would write there.
-    fn run_block_job(&mut self, job: &BlockJob, idx: usize, b0: usize, b1: usize) {
-        let mut out = std::mem::replace(&mut self.clas[idx], Cla::new(0));
+    /// One planned `newview` restricted to the site block `[b0, b1)`
+    /// (the unblocked walk runs `[0, n)`). The CLA layout keeps blocks
+    /// self-contained: every kernel is a per-site function of per-site
+    /// inputs, the 128-byte site stride keeps any block base 64-byte
+    /// aligned (the explicit-SIMD buffer contract), and the
+    /// underflow-scaling rule is per-site — so the block writes exactly
+    /// the bytes the full-range call would write there.
+    fn run_block_job(&mut self, planned: &PlannedNewview, b0: usize, b1: usize) {
+        let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
         let (out_v, out_s) = out.buffers_mut();
         let out_v = &mut out_v[b0 * SITE_STRIDE..b1 * SITE_STRIDE];
         let out_s = &mut out_s[b0..b1];
-        match job {
+        match &planned.job {
             BlockJob::Tt {
                 lut_l,
                 lut_r,
@@ -620,7 +755,7 @@ impl LikelihoodEngine {
                 p_r,
                 child_r,
             } => {
-                let cla_r = &self.clas[*child_r];
+                let cla_r = &self.slots[*child_r];
                 self.kernel.newview_ti(
                     lut_l,
                     &self.tip(*tip_l)[b0..b1],
@@ -637,8 +772,8 @@ impl LikelihoodEngine {
                 p_r,
                 child_r,
             } => {
-                let cla_l = &self.clas[*child_l];
-                let cla_r = &self.clas[*child_r];
+                let cla_l = &self.slots[*child_l];
+                let cla_r = &self.slots[*child_r];
                 self.kernel.newview_ii(
                     p_l,
                     &cla_l.values()[b0 * SITE_STRIDE..b1 * SITE_STRIDE],
@@ -651,7 +786,7 @@ impl LikelihoodEngine {
                 );
             }
         }
-        self.clas[idx] = out;
+        self.slots[planned.slot] = out;
     }
 
     fn stamp_of(&self, tree: &Tree, node: NodeId) -> u64 {
@@ -711,170 +846,87 @@ impl LikelihoodEngine {
         self.next_repeat_stamp += 1;
     }
 
-    fn run_newview(
-        &mut self,
-        tree: &Tree,
-        node: NodeId,
-        ch: [(EdgeId, NodeId); 2],
-        key: &CacheKey,
-        compress: bool,
-    ) {
-        let _span = crate::span::enter("newview");
-        let t0 = std::time::Instant::now();
-        let idx = self.inner_idx(node);
-        let mut out = std::mem::replace(&mut self.clas[idx], Cla::new(0));
-        let (out_v, out_s) = out.buffers_mut();
-        self.repeat_stats.newview_calls += 1;
-        if compress {
-            let (op, classes) = self.run_newview_compressed(tree, ch, idx, out_v, out_s);
-            self.clas[idx] = out;
-            self.stamps[idx] = self.next_stamp;
-            self.next_stamp += 1;
-            self.valid[idx] = Some(key.clone());
-            let cost = crate::cost::newview_compressed(op, self.num_patterns as u64, classes);
-            self.stats
-                .record_op_cost(op, self.num_patterns, elapsed_ns(t0), cost);
-            return;
-        }
-        let [(e_l, n_l), (e_r, n_r)] = ch;
-        let t_l = tree.length(e_l);
-        let t_r = tree.length(e_r);
-        let op = match (tree.is_tip(n_l), tree.is_tip(n_r)) {
-            (true, true) => {
-                let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                let lut_r = Lut16x16::tip_prob(&self.fused_pmat(t_r));
-                self.kernel
-                    .newview_tt(&lut_l, &lut_r, self.tip(n_l), self.tip(n_r), out_v, out_s);
-                KernelOp::NewviewTt
-            }
-            (true, false) => {
-                let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                let p_r = self.fused_pmat(t_r);
-                let cla_r = &self.clas[self.inner_idx(n_r)];
-                self.kernel.newview_ti(
-                    &lut_l,
-                    self.tip(n_l),
-                    &p_r,
-                    cla_r.values(),
-                    cla_r.scale(),
-                    out_v,
-                    out_s,
-                );
-                KernelOp::NewviewTi
-            }
-            (false, false) => {
-                let p_l = self.fused_pmat(t_l);
-                let p_r = self.fused_pmat(t_r);
-                let cla_l = &self.clas[self.inner_idx(n_l)];
-                let cla_r = &self.clas[self.inner_idx(n_r)];
-                self.kernel.newview_ii(
-                    &p_l,
-                    cla_l.values(),
-                    cla_l.scale(),
-                    &p_r,
-                    cla_r.values(),
-                    cla_r.scale(),
-                    out_v,
-                    out_s,
-                );
-                KernelOp::NewviewIi
-            }
-            (false, true) => unreachable!("children are canonicalized tip-first"),
-        };
-        self.clas[idx] = out;
-        self.stamps[idx] = self.next_stamp;
-        self.next_stamp += 1;
-        self.valid[idx] = Some(key.clone());
-        self.stats
-            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
-    }
-
     /// The compressed `newview` path: gather the children's buffers at
     /// the class representatives, run the kernel over `num_classes`
     /// "sites", expand back to the full per-site CLA. Bit-identical to
     /// the uncompressed path (see [`crate::repeats`]).
-    fn run_newview_compressed(
-        &mut self,
-        tree: &Tree,
-        ch: [(EdgeId, NodeId); 2],
-        idx: usize,
-        out_v: &mut [f64],
-        out_s: &mut [u32],
-    ) -> (KernelOp, u64) {
+    fn run_newview_compressed(&mut self, planned: &PlannedNewview, t0: std::time::Instant) {
         let mut scratch = self
             .repeat_scratch
             .take()
             .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)));
-        let (op, sites, classes) = {
-            let table = self.repeat_tables[idx]
-                .as_ref()
-                .expect("repeat table built");
-            let [(e_l, n_l), (e_r, n_r)] = ch;
-            let t_l = tree.length(e_l);
-            let t_r = tree.length(e_r);
-            let op = match (tree.is_tip(n_l), tree.is_tip(n_r)) {
-                (true, true) => {
-                    let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                    let lut_r = Lut16x16::tip_prob(&self.fused_pmat(t_r));
-                    scratch.newview_tt(
-                        self.kernel,
-                        table,
-                        &lut_l,
-                        &lut_r,
-                        self.tip(n_l),
-                        self.tip(n_r),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewTt
-                }
-                (true, false) => {
-                    let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                    let p_r = self.fused_pmat(t_r);
-                    let cla_r = &self.clas[self.inner_idx(n_r)];
-                    scratch.newview_ti(
-                        self.kernel,
-                        table,
-                        &lut_l,
-                        self.tip(n_l),
-                        &p_r,
-                        cla_r.values(),
-                        cla_r.scale(),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewTi
-                }
-                (false, false) => {
-                    let p_l = self.fused_pmat(t_l);
-                    let p_r = self.fused_pmat(t_r);
-                    let cla_l = &self.clas[self.inner_idx(n_l)];
-                    let cla_r = &self.clas[self.inner_idx(n_r)];
-                    scratch.newview_ii(
-                        self.kernel,
-                        table,
-                        &p_l,
-                        cla_l.values(),
-                        cla_l.scale(),
-                        &p_r,
-                        cla_r.values(),
-                        cla_r.scale(),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewIi
-                }
-                (false, true) => unreachable!("children are canonicalized tip-first"),
-            };
-            (op, table.num_sites() as u64, table.num_classes() as u64)
-        };
+        let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
+        let (out_v, out_s) = out.buffers_mut();
+        let table = self.repeat_tables[planned.idx]
+            .as_ref()
+            .expect("repeat table built");
+        match &planned.job {
+            BlockJob::Tt {
+                lut_l,
+                lut_r,
+                tip_l,
+                tip_r,
+            } => scratch.newview_tt(
+                self.kernel,
+                table,
+                lut_l,
+                lut_r,
+                self.tip(*tip_l),
+                self.tip(*tip_r),
+                out_v,
+                out_s,
+            ),
+            BlockJob::Ti {
+                lut_l,
+                tip_l,
+                p_r,
+                child_r,
+            } => {
+                let cla_r = &self.slots[*child_r];
+                scratch.newview_ti(
+                    self.kernel,
+                    table,
+                    lut_l,
+                    self.tip(*tip_l),
+                    p_r,
+                    cla_r.values(),
+                    cla_r.scale(),
+                    out_v,
+                    out_s,
+                );
+            }
+            BlockJob::Ii {
+                p_l,
+                child_l,
+                p_r,
+                child_r,
+            } => {
+                let (cla_l, cla_r) = (&self.slots[*child_l], &self.slots[*child_r]);
+                scratch.newview_ii(
+                    self.kernel,
+                    table,
+                    p_l,
+                    cla_l.values(),
+                    cla_l.scale(),
+                    p_r,
+                    cla_r.values(),
+                    cla_r.scale(),
+                    out_v,
+                    out_s,
+                );
+            }
+        }
+        let (sites, classes) = (table.num_sites() as u64, table.num_classes() as u64);
+        self.slots[planned.slot] = out;
         self.repeat_scratch = Some(scratch);
         self.repeat_stats.compressed_calls += 1;
         self.repeat_stats.sites += sites;
         self.repeat_stats.classes += classes;
         repeat_sites_counter().add(sites);
         repeat_classes_counter().add(classes);
-        (op, classes)
+        let cost = crate::cost::newview_compressed(planned.op, self.num_patterns as u64, classes);
+        self.stats
+            .record_op_cost(planned.op, self.num_patterns, elapsed_ns(t0), cost);
     }
 
     /// Builds (or revalidates) the joint repeat table for the root
@@ -963,7 +1015,7 @@ impl LikelihoodEngine {
             }
             let reprs = table.repr_sites();
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 self.kernel.evaluate_classes_ti(
                     &self.tip_pi,
                     self.tip(q),
@@ -980,8 +1032,8 @@ impl LikelihoodEngine {
                 }
                 KernelOp::EvaluateTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 self.kernel.evaluate_classes_ii(
                     &self.pi_w,
                     cla_q.values(),
@@ -1005,7 +1057,7 @@ impl LikelihoodEngine {
             self.fold_vals = vals;
             (ll, op, Some(nc as u64))
         } else if tree.is_tip(q) {
-            let cla_r = &self.clas[self.inner_idx(r)];
+            let cla_r = self.cla(r);
             let ll = self.kernel.evaluate_ti(
                 &self.tip_pi,
                 self.tip(q),
@@ -1016,8 +1068,8 @@ impl LikelihoodEngine {
             );
             (ll, KernelOp::EvaluateTi, None)
         } else {
-            let cla_q = &self.clas[self.inner_idx(q)];
-            let cla_r = &self.clas[self.inner_idx(r)];
+            let cla_q = self.cla(q);
+            let cla_r = self.cla(r);
             let ll = self.kernel.evaluate_ii(
                 &self.pi_w,
                 cla_q.values(),
@@ -1072,7 +1124,7 @@ impl LikelihoodEngine {
             let table = &self.root_fold.as_ref().expect("fold table cached").table;
             let nc = table.num_classes();
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 scratch.derivative_sum_ti_folded(
                     self.kernel,
                     table,
@@ -1084,8 +1136,8 @@ impl LikelihoodEngine {
                 );
                 KernelOp::DerivativeSumTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 scratch.derivative_sum_ii_folded(
                     self.kernel,
                     table,
@@ -1108,7 +1160,7 @@ impl LikelihoodEngine {
         } else {
             self.sum_fold = None;
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 self.kernel.derivative_sum_ti(
                     &self.basis,
                     self.tip(q),
@@ -1117,8 +1169,8 @@ impl LikelihoodEngine {
                 );
                 KernelOp::DerivativeSumTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 self.kernel.derivative_sum_ii(
                     &self.basis,
                     cla_q.values(),
@@ -1662,6 +1714,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn repeat_tables_survive_invalidate_all() {
+        let (tree, aln) = five_taxon();
+        let cfg = EngineConfig {
+            site_repeats: SiteRepeats::On,
+            ..EngineConfig::default()
+        };
+        let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
+        engine.log_likelihood(&tree, 0);
+        let stamp_before = engine.next_repeat_stamp;
+        // Branch-length-style invalidation recomputes CLAs but must
+        // reuse the class tables (they only depend on tip patterns and
+        // topology).
+        engine.invalidate_all();
+        engine.log_likelihood(&tree, 0);
+        assert_eq!(
+            engine.next_repeat_stamp, stamp_before,
+            "tables were rebuilt"
+        );
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! `cargo xtask` — workspace automation entry point.
+//!
+//! `cargo xtask lint` drives the `plf-analyzer` crate (token-tree
+//! static analysis: hot-path purity, FP-determinism, unsafe-invariant
+//! rules and the unsafe inventory drift gate). The audit files live
+//! next to this crate: `relaxed_allowlist.txt`,
+//! `unsafe_impl_registry.txt`, `purity_allowlist.txt`,
+//! `fpdet_allowlist.txt` and `unsafe_inventory.json`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::path::PathBuf;

@@ -446,9 +446,26 @@ fn load_alignment(path: &str) -> Result<Alignment, String> {
     aln.map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_tree(path: &str) -> Result<Tree, String> {
+/// Reads a Newick tree whose tips must name exactly the alignment's
+/// taxa (the likelihood engine binds tips to rows by name).
+fn load_tree(path: &str, aln: &Alignment) -> Result<Tree, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    newick::parse(text.trim()).map_err(|e| format!("{path}: {e}"))
+    let tree = newick::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(name) = tree
+        .tip_names()
+        .iter()
+        .find(|n| aln.taxon_index(n).is_none())
+    {
+        return Err(format!("{path}: taxon {name:?} missing from the alignment"));
+    }
+    if tree.num_taxa() != aln.num_taxa() {
+        return Err(format!(
+            "{path}: tree has {} taxa, the alignment {}",
+            tree.num_taxa(),
+            aln.num_taxa()
+        ));
+    }
+    Ok(tree)
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
@@ -489,7 +506,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), String> {
 fn cmd_evaluate(opts: &Opts) -> Result<(), String> {
     span::set_thread_label("serial");
     let aln = load_alignment(require(opts, "alignment")?)?;
-    let tree = load_tree(require(opts, "tree")?)?;
+    let tree = load_tree(require(opts, "tree")?, &aln)?;
     let alpha: f64 = get(opts, "alpha", 1.0)?;
     let compressed = CompressedAlignment::from_alignment(&aln);
     let config = EngineConfig {
@@ -542,7 +559,7 @@ fn search_inputs(opts: &Opts) -> Result<SearchInputs, String> {
     let alpha: f64 = get(opts, "alpha", 1.0)?;
     let rounds: usize = get(opts, "rounds", 20)?;
     let tree = match opts.get("tree") {
-        Some(path) => load_tree(path)?,
+        Some(path) => load_tree(path, &aln)?,
         None => match opts.get("start").map(String::as_str).unwrap_or("random") {
             "parsimony" => phylomic::search::parsimony::stepwise_addition_tree(
                 &compressed,

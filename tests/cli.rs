@@ -7,15 +7,17 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_phylomic"))
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("phylomic-cli-test-{}", std::process::id()));
+/// A fresh directory private to one test: tests run in parallel and
+/// each removes its own directory when done.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("phylomic-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn simulate_evaluate_search_roundtrip() {
-    let dir = tmpdir();
+    let dir = tmpdir("roundtrip");
     let phy = dir.join("sim.phy");
 
     // simulate
@@ -126,8 +128,7 @@ fn simulate_evaluate_search_roundtrip() {
 
 #[test]
 fn traced_search_trace_report_and_chrome_export() {
-    let dir = tmpdir().join("trace");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("trace");
     let phy = dir.join("t.phy");
     let out = bin()
         .args([
@@ -238,8 +239,7 @@ fn traced_search_trace_report_and_chrome_export() {
 
 #[test]
 fn replicated_search_checkpoints_and_resumes() {
-    let dir = tmpdir().join("repl");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("repl");
     let phy = dir.join("r.phy");
     let out = bin()
         .args([
@@ -328,8 +328,7 @@ fn replicated_search_checkpoints_and_resumes() {
 
 #[test]
 fn injected_rank_death_fails_structured_and_degrade_survives() {
-    let dir = tmpdir().join("inject");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("inject");
     let phy = dir.join("i.phy");
     let out = bin()
         .args([
@@ -476,8 +475,45 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn tree_naming_a_taxon_missing_from_the_alignment_is_an_error() {
+    let dir = tmpdir("missing-taxon");
+    let phy = dir.join("m.phy");
+    let out = bin()
+        .args([
+            "simulate",
+            "--taxa",
+            "5",
+            "--sites",
+            "60",
+            "--out",
+            phy.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let true_tree = std::fs::read_to_string(format!("{}.tree", phy.display())).unwrap();
+    assert!(true_tree.contains("t0:"), "{true_tree}");
+    let bad = dir.join("bad.nwk");
+    std::fs::write(&bad, true_tree.replace("t0:", "ghost:")).unwrap();
+    let (phy, bad) = (phy.to_str().unwrap(), bad.to_str().unwrap());
+    for cmd in ["evaluate", "search"] {
+        let out = bin()
+            .args([cmd, "--alignment", phy, "--tree", bad])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("error:") && stderr.contains("\"ghost\""),
+            "{cmd}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bootstrap_produces_annotated_tree() {
-    let dir = tmpdir();
+    let dir = tmpdir("bootstrap");
     let phy = dir.join("bs.phy");
     bin()
         .args([
@@ -521,8 +557,7 @@ fn bootstrap_produces_annotated_tree() {
 
 #[test]
 fn site_repeats_flag_parses_and_matches_off() {
-    let dir = tmpdir().join("site-repeats");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("site-repeats");
     let phy = dir.join("sr.phy");
     let out = bin()
         .args([
@@ -606,7 +641,7 @@ fn site_repeats_flag_parses_and_matches_off() {
 fn bench_trend_gate_honors_waivers_relative_to_dir() {
     // A regressed cell that is waived must pass the gate even when the
     // process cwd is NOT the repo: waivers resolve against --dir.
-    let dir = tmpdir().join("trend-dir");
+    let dir = tmpdir("trend-dir");
     std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
     let bench = |ns: f64| {
         format!(

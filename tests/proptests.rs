@@ -358,6 +358,7 @@ proptest! {
 // alignment, any backend, any repeat density.
 // ---------------------------------------------------------------------------
 
+use phylomic::plf::recompute::min_pool_slots_any_root;
 use phylomic::plf::{Blocking, SiteRepeats};
 
 /// Backend axis of the on/off matrix: every concrete backend plus the
@@ -389,10 +390,12 @@ fn proto_alignment(tree: &Tree, protos: usize, width: usize, seed: u64) -> Compr
     CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; width]).unwrap()
 }
 
-/// Builds one engine per (site-repeats, blocking) cell — the baseline
-/// is both off — and checks log-likelihood bits, branch-derivative
-/// bits, and every inner node's per-site scale array are identical at
-/// each of the given virtual roots.
+/// Builds one engine per (site-repeats, blocking, store) cell — the
+/// baseline is both off in the full store — and checks log-likelihood
+/// bits and branch-derivative bits are identical at each of the given
+/// virtual roots, visited twice in alternation so bounded pools evict
+/// and recompute. Per-site scale arrays are compared for full stores
+/// only: a pool holds no CLA for an evicted node.
 fn assert_on_off_identical(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -400,63 +403,76 @@ fn assert_on_off_identical(
     alpha: f64,
     roots: &[usize],
 ) {
-    let mk = |site_repeats, blocking| {
-        LikelihoodEngine::new(
-            tree,
-            aln,
-            EngineConfig {
-                kernel,
-                alpha,
-                site_repeats,
-                blocking,
-            },
-        )
+    let pool = min_pool_slots_any_root(tree);
+    let mk = |site_repeats, blocking, pooled| {
+        let config = EngineConfig {
+            kernel,
+            alpha,
+            site_repeats,
+            blocking,
+        };
+        if pooled {
+            LikelihoodEngine::with_pool(tree, aln, config, pool)
+        } else {
+            LikelihoodEngine::new(tree, aln, config)
+        }
     };
     let variants = [
-        (SiteRepeats::On, Blocking::Off),
-        (SiteRepeats::Off, Blocking::On),
-        (SiteRepeats::On, Blocking::On),
+        (SiteRepeats::On, Blocking::Off, false),
+        (SiteRepeats::Off, Blocking::On, false),
+        (SiteRepeats::On, Blocking::On, false),
+        (SiteRepeats::Off, Blocking::Off, true),
+        (SiteRepeats::On, Blocking::Off, true),
+        (SiteRepeats::Off, Blocking::On, true),
+        (SiteRepeats::On, Blocking::On, true),
     ];
-    let mut base = mk(SiteRepeats::Off, Blocking::Off);
-    let mut others: Vec<_> = variants.iter().map(|&(sr, bl)| mk(sr, bl)).collect();
-    for &root in roots {
+    let mut base = mk(SiteRepeats::Off, Blocking::Off, false);
+    let mut others: Vec<_> = variants
+        .iter()
+        .map(|&(sr, bl, pooled)| mk(sr, bl, pooled))
+        .collect();
+    for &root in roots.iter().chain(roots) {
         let a = base.log_likelihood(tree, root);
         base.prepare_branch(tree, root);
         let (ad1, ad2) = base.branch_derivatives(0.37);
-        for (&(sr, bl), e) in variants.iter().zip(others.iter_mut()) {
+        for (&(sr, bl, pooled), e) in variants.iter().zip(others.iter_mut()) {
             let b = e.log_likelihood(tree, root);
             prop_assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{:?} repeats={:?} blocking={:?} root {}: logL {} vs {}",
+                "{:?} repeats={:?} blocking={:?} pooled={} root {}: logL {} vs {}",
                 kernel,
                 sr,
                 bl,
+                pooled,
                 root,
                 a,
                 b
             );
-            for inner in 0..base.num_inner() {
-                prop_assert_eq!(
-                    base.cla_scale(inner),
-                    e.cla_scale(inner),
-                    "{:?} repeats={:?} blocking={:?} root {} inner {}: scale arrays differ",
-                    kernel,
-                    sr,
-                    bl,
-                    root,
-                    inner
-                );
+            if !pooled {
+                for inner in 0..base.num_inner() {
+                    prop_assert_eq!(
+                        base.cla_scale(inner),
+                        e.cla_scale(inner),
+                        "{:?} repeats={:?} blocking={:?} root {} inner {}: scale arrays differ",
+                        kernel,
+                        sr,
+                        bl,
+                        root,
+                        inner
+                    );
+                }
             }
             e.prepare_branch(tree, root);
             let (bd1, bd2) = e.branch_derivatives(0.37);
             prop_assert_eq!(
                 (ad1.to_bits(), ad2.to_bits()),
                 (bd1.to_bits(), bd2.to_bits()),
-                "{:?} repeats={:?} blocking={:?} root {}: derivatives ({}, {}) vs ({}, {})",
+                "{:?} repeats={:?} blocking={:?} pooled={} root {}: derivatives ({}, {}) vs ({}, {})",
                 kernel,
                 sr,
                 bl,
+                pooled,
                 root,
                 ad1,
                 ad2,
