@@ -222,8 +222,9 @@ impl LatencyHistogram {
 
 /// Fork/join synchronization latencies of parallel regions, as seen by
 /// the master thread: `fork` is the time to release the workers into a
-/// region (the fork barrier), `join` the time until the slowest worker
-/// deposits its partial result (the join barrier). "Master and worker
+/// region (the fork barrier), `join` the time from that release until
+/// every partial result is back — the master's own slice and the
+/// slowest worker's (the join barrier). "Master and worker
 /// processes have to communicate at least twice per parallel region"
 /// (§V-D) — these histograms measure exactly those two points.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -232,7 +233,7 @@ pub struct RegionStats {
     pub count: u64,
     /// Fork-barrier latency per region.
     pub fork: LatencyHistogram,
-    /// Join-barrier latency per region.
+    /// Join latency per region: release until all partials are back.
     pub join: LatencyHistogram,
 }
 

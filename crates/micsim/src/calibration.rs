@@ -142,7 +142,8 @@ pub struct MeasuredHostCosts {
     fits: [KernelCostFit; 4],
     /// Mean fork-barrier latency per parallel region, nanoseconds.
     pub region_fork_ns: f64,
-    /// Mean join-barrier latency per parallel region, nanoseconds.
+    /// Mean join latency per parallel region (release until every
+    /// partial, the master's own included, is back), nanoseconds.
     pub region_join_ns: f64,
 }
 

@@ -137,10 +137,12 @@ pub struct RegionSummary {
     pub count: u64,
     /// Summed fork-barrier latency, ns.
     pub fork_total_ns: u64,
-    /// Summed join-barrier latency, ns.
+    /// Summed join latency (release until all partials are back), ns.
     pub join_total_ns: u64,
-    /// Estimated wall time spent inside regions (the master blocks
-    /// through fork and join, so this is their sum), ns.
+    /// Estimated wall time spent inside regions, ns: the fork pass
+    /// plus the join, which runs from the release until all partials
+    /// are back — the master's own slice included — so their sum
+    /// covers the whole region.
     pub wall_ns: u64,
     /// Fraction of region wall time not covered by the busiest
     /// worker's kernel time: `(wall − max_busy) / wall`, clamped to

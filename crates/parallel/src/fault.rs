@@ -28,12 +28,13 @@ pub enum FaultKind {
         /// Its fatal AllReduce ordinal, 1-based.
         allreduce: u64,
     },
-    /// Fork-join worker `worker` panics inside the job of its
-    /// `region`-th parallel region (1-based). The panic is caught by
-    /// the worker loop and surfaced to the master as a structured
+    /// Fork-join rank `worker` panics inside the job of its
+    /// `region`-th parallel region (1-based); rank 0 is the master's
+    /// own slice, ranks 1.. the spawned workers. The panic is caught
+    /// around the job and surfaced to the master as a structured
     /// error — the pool must not deadlock.
     JobPanic {
-        /// The worker index that panics.
+        /// The rank that panics (0 = the master).
         worker: usize,
         /// Its fatal region ordinal, 1-based.
         region: u64,
@@ -107,7 +108,8 @@ impl FaultPlan {
         Self::new().with(FaultKind::RankDeath { rank, allreduce })
     }
 
-    /// Convenience: worker `worker` panics in its `region`-th job.
+    /// Convenience: fork-join rank `worker` (0 = the master) panics
+    /// in its `region`-th job.
     pub fn job_panic(worker: usize, region: u64) -> Self {
         Self::new().with(FaultKind::JobPanic { worker, region })
     }
@@ -140,8 +142,8 @@ impl FaultPlan {
     /// * `rank=R,allreduce=N` — rank `R` dies at its `N`-th AllReduce.
     /// * `rank=R,kill9=N` — rank `R`'s process is SIGKILLed at its
     ///   `N`-th AllReduce (simulated death under `--transport threads`).
-    /// * `rank=R,region=N` — fork-join worker `R` panics in its `N`-th
-    ///   region's job.
+    /// * `rank=R,region=N` — fork-join rank `R` (0 = the master's own
+    ///   slice) panics in its `N`-th region's job.
     /// * `ckpt-write=N[,count=K]` — checkpoint write attempts
     ///   `N..N+K` fail (default `K = 1`).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -233,9 +235,9 @@ impl FaultPlan {
         })
     }
 
-    /// Injection hook for the fork-join worker loop: does `worker`'s
-    /// job panic in its `n`-th region? Fires at most once per
-    /// scripted fault.
+    /// Injection hook for the fork-join jobs: does rank `worker`'s
+    /// job (0 = the master) panic in its `n`-th region? Fires at most
+    /// once per scripted fault.
     pub fn job_panics(&self, worker: usize, n: u64) -> bool {
         self.faults.iter().any(|f| {
             matches!(f.kind, FaultKind::JobPanic { worker: w, region } if w == worker && region == n)

@@ -1,26 +1,31 @@
 //! The fork-join (RAxML-Light PThreads) scheme.
 //!
-//! A single master runs the search; persistent worker threads each own
-//! a [`LikelihoodEngine`] over one contiguous slice of the alignment
-//! patterns. Every likelihood operation becomes a parallel region:
-//! the master publishes one job in a shared slot, releases the workers
-//! through the sense-reversing [`SenseBarrier`] (*fork*), each worker
+//! A single master runs the search; the alignment patterns are split
+//! into `n` contiguous slices, each owned by one [`LikelihoodEngine`].
+//! The master owns slice 0 and `n − 1` persistent worker threads own
+//! the rest, so `n` is the number of compute threads, the master
+//! included — as in RAxML-Light, whose master computes its own share
+//! of every region (§V-D). Every likelihood operation becomes a
+//! parallel region: the master publishes one job in a shared slot,
+//! releases the workers through the sense-reversing [`SenseBarrier`]
+//! (*fork*), runs the same job on its own slice while each worker
 //! writes its partial result into its own slot of a shared reply
 //! array, and a second barrier pass (*join*) hands the array back to
-//! the master, which reduces it in place — "master and worker
-//! processes have to communicate at least twice per parallel
-//! region/kernel" (§V-D), which is exactly the synchronization cost
-//! `micsim` charges this scheme.
+//! the master, which reduces its own partial and the workers' in slice
+//! order — "master and worker processes have to communicate at least
+//! twice per parallel region/kernel" (§V-D), which is exactly the
+//! synchronization cost `micsim` charges this scheme.
 //!
 //! There are no channels and no locks on the fast path: the barrier's
 //! acquire/release pairs are the only synchronization, and the job and
 //! reply slots are plain memory whose ownership alternates between
 //! master and workers in barrier-separated windows — the
 //! [`RegionProtocol`] extracted into [`crate::slot`], where the
-//! interleave model tests exercise it directly. The master also
-//! times both barrier waits of every region, so the per-region
-//! fork/join latency distribution lands in [`KernelStats`] next to the
-//! kernel timings.
+//! interleave model tests exercise it directly. The master also times
+//! every region: the fork barrier pass, and the join from the release
+//! until all partials are back (its own slice included), so the
+//! per-region fork/join latency distribution lands in [`KernelStats`]
+//! next to the kernel timings.
 
 use crate::barrier::BarrierToken;
 use crate::fault::FaultPlan;
@@ -44,9 +49,9 @@ pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// One broadcast work item. The master writes it into the shared slot
-/// before the fork barrier; every worker reads it (by reference — the
-/// tree snapshot is shared through the `Arc`, not cloned per worker)
-/// between fork and join.
+/// before the fork barrier; the master and every worker read it (by
+/// reference — the tree snapshot is shared through the `Arc`, not
+/// cloned per thread) between fork and join.
 #[derive(Default)]
 enum Job {
     /// Initial state before the first region.
@@ -62,7 +67,7 @@ enum Job {
 }
 
 impl Job {
-    /// Span name a worker records while executing this job.
+    /// Span name a compute thread records while executing this job.
     fn span_name(&self) -> &'static str {
         match self {
             Job::Eval(..) => "job.eval",
@@ -76,8 +81,9 @@ impl Job {
     }
 }
 
-/// One worker's partial result, written into its private slot of the
-/// shared reply array between fork and join.
+/// One compute thread's partial result: a worker writes it into its
+/// private slot of the shared reply array between fork and join; the
+/// master keeps its own.
 #[derive(Default)]
 enum Reply {
     /// Slot not yet filled this region.
@@ -87,9 +93,9 @@ enum Reply {
     Pair(f64, f64),
     Stats(Box<KernelStats>),
     Done,
-    /// The worker's job panicked; the message is surfaced to the
-    /// master, which re-panics instead of hanging or silently
-    /// mis-reducing.
+    /// The job panicked (on a worker or on the master's own slice);
+    /// the master re-panics with the message after the join instead
+    /// of hanging or silently mis-reducing.
     Panicked(String),
 }
 
@@ -99,6 +105,9 @@ pub struct ForkJoinEvaluator {
     shared: Arc<RegionProtocol<Job, Reply>>,
     handles: Vec<JoinHandle<()>>,
     token: BarrierToken,
+    /// The master's own engine, over pattern slice 0.
+    engine: LikelihoodEngine,
+    fault_plan: Option<Arc<FaultPlan>>,
     /// Master-side stats: fork/join latency of every parallel region.
     local: KernelStats,
     alpha: f64,
@@ -109,9 +118,11 @@ pub struct ForkJoinEvaluator {
 }
 
 impl ForkJoinEvaluator {
-    /// Spawns `num_workers` workers over balanced pattern slices.
-    /// Worker counts beyond the pattern count are fine: the surplus
-    /// workers own empty slices and return identity partials.
+    /// Splits the patterns into `num_workers` balanced slices: the
+    /// master computes slice 0 and `num_workers − 1` spawned workers
+    /// the rest (`num_workers == 1` spawns no thread). Counts beyond
+    /// the pattern count are fine: the surplus slices are empty and
+    /// return identity partials.
     pub fn new(
         tree: &Tree,
         aln: &CompressedAlignment,
@@ -122,8 +133,9 @@ impl ForkJoinEvaluator {
     }
 
     /// Like [`Self::new`], but with a scripted [`FaultPlan`] whose
-    /// job-panic faults fire inside the matching worker's job (caught
-    /// and surfaced like any other job panic — never a hang).
+    /// job-panic faults fire inside the matching rank's job — rank 0
+    /// is the master's own slice — caught and surfaced like any other
+    /// job panic, never a hang.
     pub fn with_fault_plan(
         tree: &Tree,
         aln: &CompressedAlignment,
@@ -132,19 +144,24 @@ impl ForkJoinEvaluator {
         fault_plan: Option<Arc<FaultPlan>>,
     ) -> Self {
         assert!(num_workers >= 1);
-        let shared = Arc::new(RegionProtocol::new(num_workers, Job::Idle));
+        let shared = Arc::new(RegionProtocol::new(num_workers - 1, Job::Idle));
         plf_core::span::set_thread_label("master");
         plf_core::metrics::gauge("forkjoin.workers").set(num_workers as u64);
-        let handles = split_ranges(aln.num_patterns(), num_workers)
+        let mut engines = split_ranges(aln.num_patterns(), num_workers)
             .into_iter()
             .enumerate()
-            .map(|(idx, range)| {
+            .map(|(rank, range)| {
                 // Expose the static pattern partition: the spread of
                 // these gauges is the load-imbalance bound the paper's
                 // Fig. 4 efficiency discussion starts from.
-                plf_core::metrics::gauge(&format!("forkjoin.worker.{idx}.sites"))
+                plf_core::metrics::gauge(&format!("forkjoin.worker.{rank}.sites"))
                     .set(range.len() as u64);
-                let engine = LikelihoodEngine::with_range(tree, aln, config, range);
+                LikelihoodEngine::with_range(tree, aln, config, range)
+            });
+        let engine = engines.next().expect("at least one slice");
+        let handles = engines
+            .zip(1..)
+            .map(|(engine, rank)| {
                 let shared = Arc::clone(&shared);
                 let plan = fault_plan.clone();
                 thread::spawn(move || {
@@ -153,9 +170,9 @@ impl ForkJoinEvaluator {
                     // fork/join fails instead of spinning forever.
                     let guard = PoisonOnUnwind {
                         proto: &shared,
-                        rank: idx,
+                        rank,
                     };
-                    worker_loop(&shared, idx, engine, plan.as_deref());
+                    worker_loop(&shared, rank, engine, plan.as_deref());
                     std::mem::forget(guard);
                 })
             })
@@ -164,6 +181,8 @@ impl ForkJoinEvaluator {
             shared,
             handles,
             token: BarrierToken::new(),
+            engine,
+            fault_plan,
             local: KernelStats::new(),
             alpha: config.alpha,
             params: GtrParams {
@@ -174,9 +193,9 @@ impl ForkJoinEvaluator {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of compute threads, the master included.
     pub fn num_workers(&self) -> usize {
-        self.handles.len()
+        self.handles.len() + 1
     }
 
     /// Parallel regions dispatched so far.
@@ -186,22 +205,24 @@ impl ForkJoinEvaluator {
 
     /// Master-side statistics: the fork/join latency histogram of
     /// every parallel region (the kernel counters live in the
-    /// workers; see [`Self::take_stats`]).
+    /// per-slice engines; see [`Self::take_stats`]).
     pub fn master_stats(&self) -> &KernelStats {
         &self.local
     }
 
-    /// Runs one parallel region: publish `job`, fork, join, collect
-    /// the reply array. Both barrier waits are timed into the
-    /// region-latency stats.
+    /// Runs one parallel region: publish `job`, fork, run the job on
+    /// the master's own slice, join, collect the replies in slice
+    /// order (master first). The fork pass and the join — from the
+    /// release until every partial is back, the master's own slice
+    /// included — are timed into the region-latency stats.
     ///
     /// # Panics
-    /// Re-panics with the worker's message if any worker's job
-    /// panicked, after the region completes — the pool itself stays
-    /// joinable, so `Drop` still shuts the workers down cleanly. A
-    /// worker that *died* (unwound outside the caught job region)
-    /// poisons the protocol; the master then panics with a
-    /// rank-naming message instead of hanging at the barrier.
+    /// Re-panics with the job's message if any rank's job panicked,
+    /// after the region completes — the pool itself stays joinable,
+    /// so `Drop` still shuts the workers down cleanly. A worker that
+    /// *died* (unwound outside the caught job region) poisons the
+    /// protocol; the master then panics with a rank-naming message
+    /// instead of hanging at the barrier.
     fn region(&mut self, job: Job) -> Vec<Reply> {
         self.regions += 1;
         regions_counter().inc();
@@ -214,6 +235,10 @@ impl ForkJoinEvaluator {
             }
         }
         let t1 = Instant::now();
+        let (region, plan) = (self.regions, self.fault_plan.as_deref());
+        let mine = self
+            .shared
+            .read_job(|job| run_job(&mut self.engine, job, 0, region, plan));
         {
             let _join = plf_core::span::enter("join.wait");
             if let Err(p) = self.shared.join(&mut self.token) {
@@ -223,7 +248,9 @@ impl ForkJoinEvaluator {
         let t2 = Instant::now();
         self.local
             .record_region(saturating_ns(t1 - t0), saturating_ns(t2 - t1));
-        let replies = self.shared.drain_replies();
+        let mut replies = Vec::with_capacity(self.num_workers());
+        replies.push(mine);
+        replies.extend(self.shared.drain_replies());
         if let Some(Reply::Panicked(msg)) = replies.iter().find(|r| matches!(r, Reply::Panicked(_)))
         {
             panic!("fork-join worker panicked: {msg}");
@@ -231,7 +258,7 @@ impl ForkJoinEvaluator {
         replies
     }
 
-    /// Collects and resets per-worker kernel statistics, merged
+    /// Collects and resets per-slice kernel statistics, merged
     /// together with the master's region-latency stats.
     pub fn take_stats(&mut self) -> KernelStats {
         let mut total = KernelStats::new();
@@ -243,10 +270,10 @@ impl ForkJoinEvaluator {
         total
     }
 
-    /// Collects and resets per-worker kernel statistics, one entry
-    /// per worker in worker order. Master-side region latencies stay
-    /// in [`Self::master_stats`] (use [`Self::take_stats`] for the
-    /// merged view).
+    /// Collects and resets per-slice kernel statistics, one entry per
+    /// compute thread in slice order (the master's first). Master-side
+    /// region latencies stay in [`Self::master_stats`] (use
+    /// [`Self::take_stats`] for the merged view).
     pub fn take_stats_per_worker(&mut self) -> Vec<KernelStats> {
         self.region(Job::TakeStats)
             .into_iter()
@@ -295,19 +322,66 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
+/// Runs one broadcast job against a slice engine on behalf of `rank`
+/// (0 = the master) in its `region`-th region. A panic — a real one or
+/// one the fault plan injects — is caught and returned as
+/// [`Reply::Panicked`], so the caller still reaches the join barrier.
+fn run_job(
+    engine: &mut LikelihoodEngine,
+    job: &Job,
+    rank: usize,
+    region: u64,
+    fault_plan: Option<&FaultPlan>,
+) -> Reply {
+    let _job_span = plf_core::span::enter(job.span_name());
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = fault_plan {
+            if plan.job_panics(rank, region) {
+                panic!("injected fault: rank {rank} panics in region {region}");
+            }
+        }
+        match job {
+            Job::Eval(tree, edge) => Reply::Scalar(engine.log_likelihood(tree, *edge)),
+            Job::Prepare(tree, edge) => {
+                engine.prepare_branch(tree, *edge);
+                Reply::Done
+            }
+            Job::Derivatives(t) => {
+                let (d1, d2) = engine.branch_derivatives(*t);
+                Reply::Pair(d1, d2)
+            }
+            Job::SetAlpha(a) => {
+                engine.set_alpha(*a);
+                Reply::Done
+            }
+            Job::SetModel(p) => {
+                engine.set_model(*p);
+                Reply::Done
+            }
+            Job::TakeStats => {
+                let s = engine.stats().clone();
+                engine.reset_stats();
+                Reply::Stats(Box::new(s))
+            }
+            Job::Idle | Job::Shutdown => unreachable!("not dispatched as work"),
+        }
+    }))
+    .unwrap_or_else(|p| Reply::Panicked(panic_message(p)))
+}
+
 /// The worker side of the protocol: wait at the fork barrier, run the
 /// broadcast job against the worker's engine slice, publish the
-/// partial result, wait at the join barrier. A panicking job is
-/// caught and reported as [`Reply::Panicked`]; the worker stays in
-/// the loop so neither barrier ever deadlocks. A poisoned barrier
+/// partial result into reply slot `rank − 1`, wait at the join
+/// barrier. A panicking job is caught by [`run_job`]; the worker stays
+/// in the loop so neither barrier ever deadlocks. A poisoned barrier
 /// pass (a sibling died) makes the worker exit cleanly.
 fn worker_loop(
     proto: &RegionProtocol<Job, Reply>,
-    idx: usize,
+    rank: usize,
     mut engine: LikelihoodEngine,
     fault_plan: Option<&FaultPlan>,
 ) {
-    plf_core::span::set_thread_label(&format!("worker{idx}"));
+    plf_core::span::set_thread_label(&format!("worker{rank}"));
     let mut token = BarrierToken::new();
     let mut region: u64 = 0;
     loop {
@@ -321,50 +395,13 @@ fn worker_loop(
         // `None` means Shutdown: exit before the join barrier (the
         // master skips it too).
         let reply = proto.read_job(|job| {
-            if matches!(job, Job::Shutdown) {
-                return None;
-            }
-            let _job_span = plf_core::span::enter(job.span_name());
-            Some(
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(plan) = fault_plan {
-                        if plan.job_panics(idx, region) {
-                            panic!("injected fault: worker {idx} panics in region {region}");
-                        }
-                    }
-                    match job {
-                        Job::Eval(tree, edge) => Reply::Scalar(engine.log_likelihood(tree, *edge)),
-                        Job::Prepare(tree, edge) => {
-                            engine.prepare_branch(tree, *edge);
-                            Reply::Done
-                        }
-                        Job::Derivatives(t) => {
-                            let (d1, d2) = engine.branch_derivatives(*t);
-                            Reply::Pair(d1, d2)
-                        }
-                        Job::SetAlpha(a) => {
-                            engine.set_alpha(*a);
-                            Reply::Done
-                        }
-                        Job::SetModel(p) => {
-                            engine.set_model(*p);
-                            Reply::Done
-                        }
-                        Job::TakeStats => {
-                            let s = engine.stats().clone();
-                            engine.reset_stats();
-                            Reply::Stats(Box::new(s))
-                        }
-                        Job::Idle | Job::Shutdown => unreachable!("not dispatched as work"),
-                    }
-                }))
-                .unwrap_or_else(|p| Reply::Panicked(panic_message(p))),
-            )
+            (!matches!(job, Job::Shutdown))
+                .then(|| run_job(&mut engine, job, rank, region, fault_plan))
         });
         let Some(reply) = reply else {
             return;
         };
-        proto.write_reply(idx, reply);
+        proto.write_reply(rank - 1, reply);
         if proto.join(&mut token).is_err() {
             return;
         }
@@ -665,6 +702,96 @@ mod tests {
         // clean Drop both still complete.
         let l = fj.log_likelihood(&tree, 0);
         assert!(l.is_finite());
+        drop(fj);
+    }
+
+    #[test]
+    fn master_only_pool_spawns_no_thread() {
+        let (tree, aln) = dataset();
+        let fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), 1);
+        assert!(fj.handles.is_empty());
+        assert_eq!(fj.num_workers(), 1);
+    }
+
+    #[test]
+    fn master_only_search_is_bit_identical_to_serial() {
+        let (tree0, aln) = dataset();
+        let names = tree0.tip_names().to_vec();
+        let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(5)).unwrap();
+        let cfg = EngineConfig::default();
+        let search = phylo_search::MlSearch::new(phylo_search::SearchConfig {
+            max_rounds: 2,
+            optimize_model: true,
+            ..Default::default()
+        });
+
+        let mut t_serial = start.clone();
+        let mut serial = LikelihoodEngine::new(&t_serial, &aln, cfg);
+        let r_serial = search.run(&mut serial, &mut t_serial);
+
+        let mut t_fj = start.clone();
+        let mut fj = ForkJoinEvaluator::new(&t_fj, &aln, cfg, 1);
+        let r_fj = search.run(&mut fj, &mut t_fj);
+
+        assert_eq!(
+            r_serial.log_likelihood.to_bits(),
+            r_fj.log_likelihood.to_bits(),
+            "{} vs {}",
+            r_serial.log_likelihood,
+            r_fj.log_likelihood
+        );
+        assert_eq!(r_serial.rounds, r_fj.rounds);
+        assert_eq!(r_serial.spr_evaluated, r_fj.spr_evaluated);
+        assert_eq!(r_serial.spr_accepted, r_fj.spr_accepted);
+        assert_eq!(t_serial.rf_distance(&t_fj), 0);
+    }
+
+    #[test]
+    fn partials_reduce_in_slice_order_bit_for_bit() {
+        let (tree, aln) = dataset();
+        let cfg = EngineConfig::default();
+        for n in [2, 3] {
+            let mut slices: Vec<LikelihoodEngine> = split_ranges(aln.num_patterns(), n)
+                .into_iter()
+                .map(|r| LikelihoodEngine::with_range(&tree, &aln, cfg, r))
+                .collect();
+            let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, n);
+            for e in [0usize, 4] {
+                let expect: f64 = slices.iter_mut().map(|s| s.log_likelihood(&tree, e)).sum();
+                let got = fj.log_likelihood(&tree, e);
+                assert_eq!(got.to_bits(), expect.to_bits(), "n={n} edge={e}");
+
+                let (mut e1, mut e2) = (0.0, 0.0);
+                for s in &mut slices {
+                    Evaluator::prepare_branch(s, &tree, e);
+                    let (a, b) = Evaluator::branch_derivatives(s, tree.length(e));
+                    e1 += a;
+                    e2 += b;
+                }
+                fj.prepare_branch(&tree, e);
+                let (d1, d2) = fj.branch_derivatives(tree.length(e));
+                assert_eq!(d1.to_bits(), e1.to_bits(), "n={n} edge={e}: d1");
+                assert_eq!(d2.to_bits(), e2.to_bits(), "n={n} edge={e}: d2");
+            }
+        }
+    }
+
+    #[test]
+    fn master_slice_panic_surfaces_like_worker_panic() {
+        let (tree, aln) = dataset();
+        let plan = Arc::new(FaultPlan::job_panic(0, 2));
+        let mut fj =
+            ForkJoinEvaluator::with_fault_plan(&tree, &aln, EngineConfig::default(), 3, Some(plan));
+        let expect = fj.log_likelihood(&tree, 0);
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| fj.log_likelihood(&tree, 0)));
+        let msg = panic_message(res.expect_err("the master's injected fault must surface"));
+        assert!(
+            msg.contains("fork-join worker panicked"),
+            "unexpected message: {msg}"
+        );
+        assert!(msg.contains("rank 0"), "unexpected message: {msg}");
+        // The pool serves the next region and shuts down cleanly.
+        assert_eq!(fj.log_likelihood(&tree, 0).to_bits(), expect.to_bits());
         drop(fj);
     }
 

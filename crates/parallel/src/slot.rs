@@ -16,11 +16,15 @@
 //!            master                         worker i
 //!   ┌─ publish_job(j)          (workers blocked at fork barrier)
 //!   ├─ fork()      ──────────────► fork()
-//!   │  (job read-only)             read_job(|j| …work…)
-//!   │                              write_reply(i, r)   [slot i only]
+//!   │  read_job(|j| …work…)        read_job(|j| …work…)
+//!   │  (job read-only)             write_reply(i, r)   [slot i only]
 //!   ├─ join()      ◄────────────── join()
 //!   └─ drain_replies()         (workers blocked at next fork)
 //! ```
+//!
+//! The master computes in window 2 like any worker: it keeps its own
+//! partial and never touches a reply slot there. With zero workers the
+//! barrier has the master as its only participant and never blocks.
 //!
 //! Every access goes through the closure-scoped
 //! [`UnsafeCell`](crate::sync::cell::UnsafeCell) facade, so compiling
@@ -36,8 +40,8 @@ use crate::sync::cell;
 pub(crate) struct CachePadded<T>(pub(crate) cell::UnsafeCell<T>);
 
 /// Shared state of a fork-join region scheme for one master plus
-/// `workers` workers: broadcast job slot, per-worker reply slots, and
-/// the barrier separating their ownership windows.
+/// `workers ≥ 0` workers: broadcast job slot, per-worker reply slots,
+/// and the barrier separating their ownership windows.
 pub struct RegionProtocol<J, R> {
     barrier: SenseBarrier,
     job: cell::UnsafeCell<J>,
@@ -51,9 +55,9 @@ pub struct RegionProtocol<J, R> {
 // 1. The master writes `job` (`publish_job`) only while every worker
 //    is blocked at the fork barrier — the steady-state invariant
 //    between regions.
-// 2. Between fork and join, workers read `job` (shared, `read_job`)
-//    and worker `i` writes only `replies[i]` (`write_reply`,
-//    exclusive by index).
+// 2. Between fork and join, the master and the workers read `job`
+//    (shared, `read_job`) and worker `i` writes only `replies[i]`
+//    (`write_reply`, exclusive by index).
 // 3. After the join barrier the master reads and clears `replies`
 //    (`drain_replies`); workers are already blocked at the next fork.
 //
@@ -68,9 +72,9 @@ unsafe impl<J: Send + Sync, R: Send> Sync for RegionProtocol<J, R> {}
 impl<J, R: Default> RegionProtocol<J, R> {
     /// Creates the shared state for `workers` workers plus the
     /// master, with the job slot holding `initial_job` and every
-    /// reply slot holding `R::default()`.
+    /// reply slot holding `R::default()`. `workers == 0` is a
+    /// master-only protocol whose barrier passes never block.
     pub fn new(workers: usize, initial_job: J) -> Self {
-        assert!(workers >= 1, "protocol needs at least one worker");
         RegionProtocol {
             barrier: SenseBarrier::new(workers + 1),
             job: cell::UnsafeCell::new(initial_job),
@@ -114,9 +118,9 @@ impl<J, R> RegionProtocol<J, R> {
         self.barrier.wait(token)
     }
 
-    /// Marks the protocol dead on behalf of participant `rank`
-    /// (master = `workers()`, worker `i` = `i`): every blocked or
-    /// future fork/join pass returns `Err(Poisoned)`. Called by a
+    /// Marks the protocol dead on behalf of participant `rank` (a
+    /// caller-chosen id, reported back in `Poisoned`): every blocked
+    /// or future fork/join pass returns `Err(Poisoned)`. Called by a
     /// participant that must unwind outside the normal shutdown
     /// region so the others never deadlock.
     pub fn poison(&self, rank: usize) {
@@ -128,12 +132,12 @@ impl<J, R> RegionProtocol<J, R> {
         self.barrier.poisoned()
     }
 
-    /// Worker-side: reads the broadcast job. Must only be called in
-    /// window 2 (between fork and join).
+    /// Master- or worker-side: reads the broadcast job. Must only be
+    /// called in window 2 (between fork and join).
     pub fn read_job<T>(&self, f: impl FnOnce(&J) -> T) -> T {
         self.job.with(|p| {
-            // SAFETY: window 2 — between fork and join the master
-            // never touches the job slot and workers only read it.
+            // SAFETY: window 2 — between fork and join nobody writes
+            // the job slot; the master and the workers only read it.
             f(unsafe { &*p })
         })
     }
@@ -211,8 +215,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        RegionProtocol::<u64, u64>::new(0, 0);
+    fn zero_workers_is_master_only() {
+        let proto = RegionProtocol::<u64, u64>::new(0, 0);
+        let mut token = BarrierToken::new();
+        for job in [7, 8] {
+            proto.publish_job(job);
+            proto.fork(&mut token).unwrap();
+            assert_eq!(proto.read_job(|j| *j), job);
+            proto.join(&mut token).unwrap();
+            assert_eq!(proto.drain_replies(), Vec::<u64>::new());
+        }
+        assert_eq!(proto.workers(), 0);
     }
 }

@@ -153,6 +153,46 @@ fn region_protocol_broadcast_and_reply_collection() {
     assert!(report.iterations > 1, "exploration should branch");
 }
 
+/// The fork-join region as the evaluator runs it: the master reads the
+/// broadcast job and computes its own partial between fork and join
+/// while the one worker reads the same job and writes its reply slot.
+/// Shared job reads in window 2 must not race with anything, and the
+/// drain after the join must see the worker's reply next to the
+/// master's own partial.
+#[cfg(not(feature = "seed-ordering-bug"))]
+#[test]
+fn region_protocol_master_computes_slice_zero() {
+    const SHUTDOWN: u64 = u64::MAX;
+    let report = Checker::new().check(|| {
+        let proto = Arc::new(RegionProtocol::<u64, u64>::new(1, 0));
+        let p2 = Arc::clone(&proto);
+        let worker = interleave::thread::spawn(move || {
+            let mut token = BarrierToken::new();
+            loop {
+                p2.fork(&mut token).unwrap();
+                let job = p2.read_job(|j| *j);
+                if job == SHUTDOWN {
+                    return;
+                }
+                p2.write_reply(0, job * 10 + 1);
+                p2.join(&mut token).unwrap();
+            }
+        });
+        let mut token = BarrierToken::new();
+        proto.publish_job(7);
+        proto.fork(&mut token).unwrap();
+        let mine = proto.read_job(|j| j * 10);
+        proto.join(&mut token).unwrap();
+        let mut replies = vec![mine];
+        replies.extend(proto.drain_replies());
+        assert_eq!(replies, vec![70, 71], "lost or torn partial");
+        proto.publish_job(SHUTDOWN);
+        proto.fork(&mut token).unwrap();
+        worker.join().unwrap();
+    });
+    assert!(report.iterations > 1, "exploration should branch");
+}
+
 /// The poison protocol is lost-wakeup-free: a dying participant
 /// poisons the barrier and never arrives; the surviving waiter —
 /// whether it blocked before or after the poison store — returns

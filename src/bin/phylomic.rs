@@ -715,9 +715,10 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
                     return Err(format!("fork-join region failed: {msg}"));
                 }
             };
-            // One kernel-event block per worker (their differing slice
-            // widths feed the calibration fit) plus the master's
-            // region fork/join latencies.
+            // One kernel-event block per compute thread in slice order
+            // — the master's own slice is `worker0` (their differing
+            // slice widths feed the calibration fit) — plus the
+            // master's region fork/join latencies.
             for (i, stats) in fj.take_stats_per_worker().iter().enumerate() {
                 trace_events.extend(events_from_stats(&format!("worker{i}"), stats));
             }

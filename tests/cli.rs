@@ -15,6 +15,20 @@ fn tmpdir(test: &str) -> PathBuf {
     dir
 }
 
+/// True when some Chrome track labelled `label` has a `span` event.
+fn track_has_span(json: &str, label: &str, span: &str) -> bool {
+    let label_record = format!(r#""args":{{"name":"{label}"}}"#);
+    let tids: Vec<&str> = json
+        .lines()
+        .filter(|l| l.contains(r#""ph":"M""#) && l.contains(&label_record))
+        .filter_map(|l| l.split(r#""tid":"#).nth(1)?.split(',').next())
+        .collect();
+    let span_record = format!(r#"{{"name":"{span}","cat""#);
+    json.lines().any(|l| {
+        l.contains(&span_record) && tids.iter().any(|t| l.contains(&format!(r#""tid":{t},"#)))
+    })
+}
+
 #[test]
 fn simulate_evaluate_search_roundtrip() {
     let dir = tmpdir("roundtrip");
@@ -195,15 +209,22 @@ fn traced_search_trace_report_and_chrome_export() {
             if name == "forkjoin.regions")
     ));
 
-    // The Chrome export names one track per worker.
+    // The Chrome export names one track per compute thread: with
+    // `--threads 2` the master computes slice 0 and one worker slice 1.
     let chrome_doc = std::fs::read_to_string(&chrome).unwrap();
     assert!(chrome_doc.starts_with(r#"{"traceEvents":["#));
-    for label in ["master", "worker0", "worker1"] {
+    for label in ["master", "worker1"] {
         assert!(
             chrome_doc.contains(&format!(r#""name":"{label}""#)),
             "{label}"
         );
     }
+    assert!(!chrome_doc.contains(r#""name":"worker0""#), "worker0");
+    assert!(
+        track_has_span(&chrome_doc, "master", "job.eval"),
+        "the master track must carry its own job.eval spans"
+    );
+    assert!(chrome_doc.matches(r#""ph":"M""#).count() >= 2);
 
     // trace-report digests the file.
     let out = bin()
@@ -424,6 +445,32 @@ fn injected_rank_death_fails_structured_and_degrade_survives() {
         String::from_utf8_lossy(&out.stderr).contains("fork-join region failed"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Rank 0 is the master's own slice: its fault fails the run the
+    // same way.
+    let out = bin()
+        .args([
+            "search",
+            "--alignment",
+            phy.to_str().unwrap(),
+            "--scheme",
+            "forkjoin",
+            "--threads",
+            "3",
+            "--rounds",
+            "1",
+            "--no-model-opt",
+            "--inject-fault",
+            "rank=0,region=2",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("fork-join region failed: fork-join worker panicked: injected fault: rank 0"),
+        "{err}"
     );
 
     // Under the serial scheme the flag is meaningless — reject it

@@ -144,12 +144,25 @@ fn chrome_export_has_one_track_per_worker() {
     let tracks = span::snapshot_all();
     let json = span::chrome_trace_json(&tracks);
     assert!(json.starts_with(r#"{"traceEvents":["#));
-    for i in 0..WORKERS {
+    // The master computes slice 0, so the compute threads are the
+    // master plus workers 1..WORKERS.
+    assert!(json.contains(r#""name":"master""#), "master track missing");
+    for i in 1..WORKERS {
         assert!(
             json.contains(&format!(r#""name":"worker{i}""#)),
             "worker{i} track missing"
         );
     }
+    assert!(
+        !json.contains(r#""name":"worker0""#),
+        "no worker owns slice 0"
+    );
+    assert!(
+        tracks
+            .iter()
+            .any(|t| t.label == "master" && t.events.iter().any(|e| e.name == "job.eval")),
+        "the master track must carry its own job.eval spans"
+    );
     // Every B on a tid is eventually matched by an E (the exporter
     // closes leftovers), so per-tid counts balance.
     let count = |ph: &str| json.matches(&format!(r#""ph":"{ph}""#)).count();
