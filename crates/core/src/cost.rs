@@ -337,24 +337,56 @@ pub fn calibration() -> Option<&'static ProfitCalibration> {
 /// Per-site overhead bytes of the compressed-`newview` expansion
 /// relative to the kernel's own streaming: the class-index read plus
 /// the full-width output copy ([`newview_compressed`]).
-const EXPAND_BYTES_PER_SITE: u64 = 4 + 8 * (NUM_STATES * NUM_RATES) as u64 + 4;
+pub const EXPAND_BYTES_PER_SITE: u64 = 4 + 8 * (NUM_STATES * NUM_RATES) as u64 + 4;
 
-/// Measured expansion-overhead : kernel-work cost ratio `r`, when both
-/// throughput probes have run: compressing is modeled as profitable
-/// iff `classes <= sites * (1 - r)`, i.e. the per-class kernel saving
-/// must at least pay for the per-site expansion copy. `None` when the
-/// host is uncalibrated (callers fall back to the fixed 20% rule).
-pub fn repeat_overhead_ratio() -> Option<f64> {
-    let cal = calibration()?;
-    if cal.copy_mbps == 0 || cal.kernel_mbps == 0 {
-        return None;
-    }
-    // Time per site of the expansion copy vs time per site of the
-    // dominant newview_ii kernel, each as bytes / throughput.
-    let kernel_bytes = KernelOp::NewviewIi.cost(1).bytes();
-    let cx = EXPAND_BYTES_PER_SITE as f64 / cal.copy_mbps as f64;
-    let ck = kernel_bytes as f64 / cal.kernel_mbps as f64;
-    Some((cx / ck).clamp(0.01, 0.95))
+/// Per-class gather bytes of a compressed inner/inner `newview`: each
+/// child's representative site (CLA values + scale counter) is read
+/// and written into class-indexed staging.
+pub const GATHER_BYTES_PER_CLASS: u64 = 2 * 2 * (8 * (NUM_STATES * NUM_RATES) as u64 + 4);
+
+/// Per-site bytes of a repeat-table build: both children's class ids
+/// read, the node's class id written.
+pub const BUILD_BYTES_PER_SITE: u64 = 3 * 4;
+
+/// The break-even of site-repeat compression as `(saved per site,
+/// spent per class)`; see [`repeat_break_even`].
+fn repeat_break_even_terms() -> (f64, f64) {
+    let (kernel_bw, copy_bw) = match calibration() {
+        Some(cal) if cal.copy_mbps > 0 && cal.kernel_mbps > 0 => {
+            (cal.kernel_mbps as f64, cal.copy_mbps as f64)
+        }
+        _ => (1.0, 1.0),
+    };
+    let kernel = KernelOp::NewviewIi.cost(1).bytes() as f64 / kernel_bw;
+    let saved = kernel - (EXPAND_BYTES_PER_SITE + BUILD_BYTES_PER_SITE) as f64 / copy_bw;
+    let spent = kernel + GATHER_BYTES_PER_CLASS as f64 / copy_bw;
+    (saved.max(0.0), spent)
+}
+
+/// The break-even fraction of repeat classes per site up to which
+/// compressing a `newview` pays: compress iff `classes · (K + G) ≤
+/// sites · (K − X − B)`, with `K` the `newview_ii` bytes per site,
+/// `X` [`EXPAND_BYTES_PER_SITE`], `G` [`GATHER_BYTES_PER_CLASS`] and
+/// `B` [`BUILD_BYTES_PER_SITE`]. Every site skips its kernel work but
+/// still pays the expansion copy and its share of the table build;
+/// every class runs the kernel on gathered inputs. A calibration with
+/// both throughput probes weights `K` by the streaming bandwidth and
+/// the copy terms by the copy bandwidth; otherwise the bandwidths
+/// count as equal, which gives `(396 − 136 − 12) / (396 + 528) ≈
+/// 0.268` for DNA Γ4. One rule feeds both
+/// [`crate::repeats::RepeatTable::profitable`] and the `Auto`
+/// saturation limit, so the two cannot disagree.
+pub fn repeat_break_even() -> f64 {
+    let (saved, spent) = repeat_break_even_terms();
+    saved / spent
+}
+
+/// The largest class count at which compressing a node of `sites`
+/// sites pays: `⌊sites · saved / spent⌋`, multiplied before dividing
+/// so exact break-evens stay exact.
+pub fn repeat_break_even_classes(sites: usize) -> usize {
+    let (saved, spent) = repeat_break_even_terms();
+    (sites as f64 * saved / spent).floor() as usize
 }
 
 /// Process-wide roofline accumulators in the metrics registry

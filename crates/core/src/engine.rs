@@ -29,9 +29,7 @@ use crate::cost::KernelOp;
 use crate::instrument::KernelStats;
 use crate::kernels::{positive, KernelKind, Kernels};
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-use crate::repeats::{
-    ClassSource, RepeatKey, RepeatScratch, RepeatStats, RepeatTable, SiteRepeats,
-};
+use crate::repeats::{Child, RepeatScratch, RepeatStats, RepeatTable, RepeatTables, SiteRepeats};
 use crate::scaling::LN_SCALE;
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
@@ -105,21 +103,16 @@ struct PlannedNewview {
 }
 
 /// Cache record for the joint root repeat table driving the
-/// weight-folded evaluate/derivative paths.
+/// weight-folded evaluate/derivative paths. The two endpoints of any
+/// root edge together cover every tip, so the joint classes partition
+/// the sites by their whole column: one table serves every root edge
+/// until the tip binding changes.
+#[derive(Default)]
 struct RootFold {
-    key: RootFoldKey,
+    /// Tip-binding epoch `table` was built under (`None` before the
+    /// first build).
+    epoch: Option<u64>,
     table: RepeatTable,
-}
-
-/// The state a [`RootFold`] table was built in.
-#[derive(Clone, Debug, PartialEq)]
-struct RootFoldKey {
-    /// Root pair, canonicalized tip-first (q, r).
-    nodes: [NodeId; 2],
-    /// Repeat-table build stamps of the endpoints (0 for a tip q).
-    stamps: [u64; 2],
-    /// Tip-binding epoch the table was built under.
-    tip_epoch: u64,
 }
 
 /// Folded `derivativeSum` state left by `prepare_branch` for
@@ -172,15 +165,8 @@ pub struct LikelihoodEngine {
     stats: KernelStats,
     /// Effective site-repeat compression mode (env override applied).
     repeats_mode: SiteRepeats,
-    /// Per-inner-node repeat tables (None until first built).
-    repeat_tables: Vec<Option<RepeatTable>>,
-    /// The state each table was built in (topology + tip binding only;
-    /// branch-length and model changes keep tables valid).
-    repeat_valid: Vec<Option<RepeatKey>>,
-    /// Monotonic table build stamps, used in children's `RepeatKey`s to
-    /// cascade invalidation upward.
-    repeat_stamps: Vec<u64>,
-    next_repeat_stamp: u64,
+    /// Per-inner-node repeat tables, cached by tip set.
+    repeat_tables: RepeatTables,
     /// Bumped whenever the alignment-row → tree-tip binding changes.
     tip_epoch: u64,
     /// Class-indexed staging buffers, allocated on first compressed
@@ -191,7 +177,7 @@ pub struct LikelihoodEngine {
     /// the straight-line traversal; see [`crate::blocking`]).
     block_sites: Option<usize>,
     /// Cached joint root repeat table for the folded root paths.
-    root_fold: Option<RootFold>,
+    root_fold: RootFold,
     /// Scratch for per-class root results (site likelihoods /
     /// derivative triplets), grown lazily.
     fold_vals: Vec<f64>,
@@ -308,15 +294,12 @@ impl LikelihoodEngine {
             sum_edge: None,
             stats: KernelStats::new(),
             repeats_mode: config.site_repeats.effective(),
-            repeat_tables: vec![None; num_inner],
-            repeat_valid: vec![None; num_inner],
-            repeat_stamps: vec![0; num_inner],
-            next_repeat_stamp: 1,
+            repeat_tables: RepeatTables::new(num_taxa, num_inner),
             tip_epoch: 1,
             repeat_scratch: None,
             repeat_stats: RepeatStats::default(),
             block_sites: config.blocking.resolve(num_patterns),
-            root_fold: None,
+            root_fold: RootFold::default(),
             fold_vals: Vec::new(),
             sum_fold: None,
         };
@@ -574,7 +557,7 @@ impl LikelihoodEngine {
             // when its CLA is cache-valid: parents build their classes
             // from the children's tables.
             if self.repeats_mode.enabled() {
-                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch);
+                self.ensure_repeat_table(tree, d.node, ch);
             }
             let key = CacheKey {
                 toward_edge: d.toward_edge,
@@ -590,9 +573,10 @@ impl LikelihoodEngine {
                 // The compress decision is made exactly once per
                 // executed node (it feeds the profitability metrics).
                 let compress = self.repeats_mode.enabled()
-                    && self.repeat_tables[idx]
-                        .as_ref()
-                        .is_some_and(|t| t.compresses_counted(self.repeats_mode));
+                    && self
+                        .repeat_tables
+                        .table(idx)
+                        .compresses_counted(self.repeats_mode);
                 if let Some(bs) = block {
                     // Compressed nodes gather whole child CLAs, and
                     // batched jobs address CLAs by slot: flush before a
@@ -797,53 +781,19 @@ impl LikelihoodEngine {
         }
     }
 
-    fn repeat_stamp_of(&self, tree: &Tree, node: NodeId) -> u64 {
-        if tree.is_tip(node) {
-            0
-        } else {
-            self.repeat_stamps[self.inner_idx(node)]
-        }
-    }
-
-    /// Builds (or revalidates) `node`'s repeat table bottom-up from its
-    /// children's class sources. Children's tables are guaranteed built
-    /// because `update_partials` walks the post-order schedule.
-    fn ensure_repeat_table(
-        &mut self,
-        tree: &Tree,
-        node: NodeId,
-        toward_edge: EdgeId,
-        ch: [(EdgeId, NodeId); 2],
-    ) {
+    /// Provides `node`'s repeat table for the tips below its children
+    /// `ch`, from the node's cache or built from the children's tables,
+    /// which `update_partials`' post-order walk ensured first.
+    fn ensure_repeat_table(&mut self, tree: &Tree, node: NodeId, ch: [(EdgeId, NodeId); 2]) {
         let idx = self.inner_idx(node);
-        let key = RepeatKey {
-            toward_edge,
-            child_nodes: [ch[0].1, ch[1].1],
-            child_table_stamps: [
-                self.repeat_stamp_of(tree, ch[0].1),
-                self.repeat_stamp_of(tree, ch[1].1),
-            ],
-            tip_epoch: self.tip_epoch,
-        };
-        if self.repeat_valid[idx].as_ref() == Some(&key) {
-            return;
+        let limit = self.repeats_mode.class_limit(self.num_patterns);
+        let children = ch.map(|(_, n)| repeat_child(tree, &self.tips, &self.tip_row, n));
+        if self
+            .repeat_tables
+            .ensure(idx, children, self.tip_epoch, limit)
+        {
+            self.repeat_stats.table_builds += 1;
         }
-        let source = |n: NodeId| -> ClassSource<'_> {
-            if tree.is_tip(n) {
-                ClassSource::Tip(self.tip(n))
-            } else {
-                ClassSource::Inner(
-                    self.repeat_tables[self.inner_idx(n)]
-                        .as_ref()
-                        .expect("child repeat table built before parent (post-order)"),
-                )
-            }
-        };
-        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1));
-        self.repeat_tables[idx] = Some(table);
-        self.repeat_valid[idx] = Some(key);
-        self.repeat_stamps[idx] = self.next_repeat_stamp;
-        self.next_repeat_stamp += 1;
     }
 
     /// The compressed `newview` path: gather the children's buffers at
@@ -857,9 +807,7 @@ impl LikelihoodEngine {
             .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)));
         let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
         let (out_v, out_s) = out.buffers_mut();
-        let table = self.repeat_tables[planned.idx]
-            .as_ref()
-            .expect("repeat table built");
+        let table = self.repeat_tables.table(planned.idx);
         match &planned.job {
             BlockJob::Tt {
                 lut_l,
@@ -939,44 +887,21 @@ impl LikelihoodEngine {
     ///
     /// Returns `false` (full-width path) when repeats are off, when
     /// `r` is a tip (the two-taxon corner), or when the compression
-    /// does not pay under the engine's mode.
+    /// does not pay under the engine's mode — in particular when either
+    /// endpoint's table is saturated, which saturates the joint table
+    /// without a build.
     fn ensure_root_fold(&mut self, tree: &Tree, q: NodeId, r: NodeId) -> bool {
         if !self.repeats_mode.enabled() || tree.is_tip(r) {
             return false;
         }
-        let r_idx = self.inner_idx(r);
-        if self.repeat_tables[r_idx].is_none() {
-            return false;
+        if self.root_fold.epoch != Some(self.tip_epoch) {
+            let limit = self.repeats_mode.class_limit(self.num_patterns);
+            let children = [q, r].map(|n| repeat_child(tree, &self.tips, &self.tip_row, n));
+            self.repeat_tables
+                .rebuild_into(&mut self.root_fold.table, children, limit);
+            self.root_fold.epoch = Some(self.tip_epoch);
         }
-        let q_stamp = if tree.is_tip(q) {
-            0
-        } else {
-            let q_idx = self.inner_idx(q);
-            if self.repeat_tables[q_idx].is_none() {
-                return false;
-            }
-            self.repeat_stamps[q_idx]
-        };
-        let key = RootFoldKey {
-            nodes: [q, r],
-            stamps: [q_stamp, self.repeat_stamps[r_idx]],
-            tip_epoch: self.tip_epoch,
-        };
-        if !self.root_fold.as_ref().is_some_and(|f| f.key == key) {
-            let left = if tree.is_tip(q) {
-                ClassSource::Tip(self.tip(q))
-            } else {
-                ClassSource::Inner(self.repeat_tables[self.inner_idx(q)].as_ref().unwrap())
-            };
-            let right = ClassSource::Inner(self.repeat_tables[r_idx].as_ref().unwrap());
-            let table = RepeatTable::build(left, right);
-            self.root_fold = Some(RootFold { key, table });
-        }
-        self.root_fold
-            .as_ref()
-            .expect("fold table cached")
-            .table
-            .compresses_counted(self.repeats_mode)
+        self.root_fold.table.compresses_counted(self.repeats_mode)
     }
 
     /// Log-likelihood (partial, over this engine's pattern slice) with
@@ -1008,7 +933,7 @@ impl LikelihoodEngine {
         let folded = self.ensure_root_fold(tree, q, r);
         let (ll, op, folded_classes) = if folded {
             let mut vals = std::mem::take(&mut self.fold_vals);
-            let table = &self.root_fold.as_ref().expect("fold table cached").table;
+            let table = &self.root_fold.table;
             let nc = table.num_classes();
             if vals.len() < nc {
                 vals.resize(nc, 0.0);
@@ -1121,7 +1046,7 @@ impl LikelihoodEngine {
                 .repeat_scratch
                 .take()
                 .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)));
-            let table = &self.root_fold.as_ref().expect("fold table cached").table;
+            let table = &self.root_fold.table;
             let nc = table.num_classes();
             let op = if tree.is_tip(q) {
                 let cla_r = self.cla(r);
@@ -1283,6 +1208,18 @@ impl LikelihoodEngine {
             ),
         }
         out
+    }
+}
+
+/// Node `n` as a child of a repeat-table build: a tip with its codes
+/// (`tips` by alignment row, `tip_row` the binding) or an inner node's
+/// index. Takes the tip rows rather than the engine, so the engine's
+/// tables can be borrowed mutably alongside.
+fn repeat_child<'a>(tree: &Tree, tips: &'a [Vec<u8>], tip_row: &[usize], n: NodeId) -> Child<'a> {
+    if tree.is_tip(n) {
+        Child::Tip(n, &tips[tip_row[n]])
+    } else {
+        Child::Inner(n - tree.num_taxa())
     }
 }
 
@@ -1725,16 +1662,158 @@ mod tests {
         };
         let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
         engine.log_likelihood(&tree, 0);
-        let stamp_before = engine.next_repeat_stamp;
+        let builds = engine.repeat_stats().table_builds;
         // Branch-length-style invalidation recomputes CLAs but must
         // reuse the class tables (they only depend on tip patterns and
         // topology).
         engine.invalidate_all();
         engine.log_likelihood(&tree, 0);
         assert_eq!(
-            engine.next_repeat_stamp, stamp_before,
+            engine.repeat_stats().table_builds,
+            builds,
             "tables were rebuilt"
         );
+    }
+
+    #[test]
+    fn every_orientation_keeps_its_repeat_table() {
+        let (tree, aln) = five_taxon();
+        let cfg = EngineConfig {
+            site_repeats: SiteRepeats::On,
+            ..EngineConfig::default()
+        };
+        let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
+        for e in tree.edge_ids() {
+            engine.log_likelihood(&tree, e);
+        }
+        let builds = engine.repeat_stats().table_builds;
+        if engine.site_repeats().enabled() {
+            // Each inner node has three orientations, each built once.
+            assert_eq!(builds as usize, 3 * tree.num_inner());
+        }
+        // Moving the root back across nodes finds every table cached.
+        for e in (0..tree.num_edges()).rev() {
+            engine.log_likelihood(&tree, e);
+        }
+        assert_eq!(engine.repeat_stats().table_builds, builds);
+    }
+
+    /// Full (unlimited) repeat tables of every node scheduled for
+    /// `root_edge`, built from scratch in post-order.
+    fn tables_from_scratch(
+        engine: &LikelihoodEngine,
+        tree: &Tree,
+        root_edge: EdgeId,
+    ) -> std::collections::HashMap<NodeId, RepeatTable> {
+        let mut tables = std::collections::HashMap::new();
+        for d in full_schedule(tree, root_edge) {
+            let ch = children(tree, d.node, d.toward_edge);
+            let table = {
+                let source = |n: NodeId| {
+                    if tree.is_tip(n) {
+                        crate::repeats::ClassSource::Tip(engine.tip(n))
+                    } else {
+                        crate::repeats::ClassSource::Inner(&tables[&n])
+                    }
+                };
+                RepeatTable::build(source(ch[0].1), source(ch[1].1))
+            };
+            tables.insert(d.node, table);
+        }
+        tables
+    }
+
+    #[test]
+    fn saturated_tables_decide_like_tables_built_from_scratch() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(12);
+        let names = phylo_tree::build::default_names(12);
+        let tree = phylo_tree::build::random_tree(&names, 0.1, &mut rng).unwrap();
+        // 40 prototype columns, each taxon mutated with probability
+        // 1/16 per site: cherries repeat a lot, deep subtrees hardly.
+        let protos: Vec<Vec<usize>> = (0..40)
+            .map(|_| (0..12).map(|_| rng.random_range(0..4)).collect())
+            .collect();
+        let sites = 800;
+        let cols: Vec<Vec<usize>> = (0..sites)
+            .map(|_| {
+                let p = &protos[rng.random_range(0..protos.len())];
+                p.iter()
+                    .map(|&c| {
+                        if rng.random_range(0..16) == 0 {
+                            rng.random_range(0..4)
+                        } else {
+                            c
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows = (0..12)
+            .map(|t| {
+                cols.iter()
+                    .map(|c| phylo_bio::DnaCode::from_state(c[t]))
+                    .collect()
+            })
+            .collect();
+        let aln = CompressedAlignment::from_parts(names.clone(), rows, vec![1; sites]).unwrap();
+        let (mut compressing, mut saturated) = (0, 0);
+        for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+            let mut engine = LikelihoodEngine::new(
+                &tree,
+                &aln,
+                EngineConfig {
+                    site_repeats: mode,
+                    ..EngineConfig::default()
+                },
+            );
+            let mode = engine.site_repeats();
+            if !mode.enabled() {
+                return; // PHYLOMIC_SITE_REPEATS=off: no tables at all
+            }
+            for e in tree.edge_ids() {
+                engine.log_likelihood(&tree, e);
+                let want = tables_from_scratch(&engine, &tree, e);
+                for (&node, table) in &want {
+                    let got = engine.repeat_tables.table(engine.inner_idx(node));
+                    assert_eq!(
+                        got.compresses(mode),
+                        table.compresses(mode),
+                        "{mode} edge {e} node {node}"
+                    );
+                    if !got.is_saturated() {
+                        assert_eq!(got, table, "{mode} edge {e} node {node}");
+                    }
+                    compressing += usize::from(got.compresses(mode));
+                    saturated += usize::from(got.is_saturated());
+                }
+                // The root fold decides like the joint table from scratch.
+                let (a, b) = tree.endpoints(e);
+                let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
+                if !tree.is_tip(r) {
+                    let source = |n: NodeId| {
+                        if tree.is_tip(n) {
+                            crate::repeats::ClassSource::Tip(engine.tip(n))
+                        } else {
+                            crate::repeats::ClassSource::Inner(&want[&n])
+                        }
+                    };
+                    let joint = RepeatTable::build(source(q), source(r));
+                    assert_eq!(
+                        engine.root_fold.table.compresses(mode),
+                        joint.compresses(mode),
+                        "{mode} root fold at edge {e}"
+                    );
+                }
+            }
+        }
+        assert!(
+            compressing > 0,
+            "no node compressed: the fixture is vacuous"
+        );
+        if SiteRepeats::env_override().is_none() {
+            assert!(saturated > 0, "no table saturated: the fixture is vacuous");
+        }
     }
 
     #[test]

@@ -12,9 +12,36 @@
 //! detection cheap: a site's class at a node is determined entirely by
 //! the pair of its children's class ids — a tip child contributes its
 //! 4-bit character code, an inner child the site's class id in that
-//! child's own [`RepeatTable`]. One hash pass per node over `(left
-//! class, right class)` pairs assigns dense ids in first-occurrence
-//! order.
+//! child's own [`RepeatTable`]. One pass per node over `(left class,
+//! right class)` pairs assigns dense ids in first-occurrence order.
+//! When `classes(left) × classes(right)` is small (every tip/tip node
+//! and most tip/inner ones) the pair indexes a dense id array;
+//! otherwise an open-addressing map keyed by the packed pair serves.
+//! Both live in a reusable `ClassIdMap` whose entries carry a build
+//! generation, so a rebuild starts from an empty map without clearing
+//! it, and tables are rebuilt in place over their old capacity. A
+//! node's classes depend only on the set of tips below it, so each
+//! node caches its recent tables by tip set (`RepeatTables`).
+//!
+//! # Break-even and saturation
+//!
+//! `Auto` compresses a node iff `classes ≤ sites · f`, where `f` is
+//! the break-even fraction of the `cost.rs` byte model
+//! ([`crate::cost::repeat_break_even`]): each class costs its kernel
+//! work plus the gather of both children's representatives, and each
+//! site still pays the expansion copy and its share of the table
+//! build. `On` compresses whenever `classes < sites`.
+//! [`SiteRepeats::class_limit`] is that largest compressing class
+//! count.
+//!
+//! A parent's classes refine both children's, so `classes(parent) ≥
+//! max classes(child)`: once a node exceeds its mode's class limit, no
+//! ancestor in that orientation can compress either. Such a node gets
+//! a *saturated* table — the site count only, no per-site vectors —
+//! and every table built on top of it is saturated without a pass over
+//! the sites. A build that crosses the limit mid-pass stops there and
+//! saturates too. Saturation changes no compress decision under `On`
+//! or `Auto`; it only skips builds whose answer is already known.
 //!
 //! # Bit-identity contract
 //!
@@ -43,8 +70,7 @@
 use crate::kernels::Kernels;
 use crate::layout::{site_range, EigenBasis, FusedPmat, Lut16x16};
 use crate::{AlignedVec, SITE_STRIDE};
-use phylo_tree::{EdgeId, NodeId};
-use std::collections::HashMap;
+use phylo_tree::NodeId;
 
 /// Whether engines compress repeated sites, gated per
 /// [`crate::EngineConfig`] and overridable process-wide through the
@@ -57,7 +83,8 @@ pub enum SiteRepeats {
     /// Compress whenever a node has any repeated site at all.
     On,
     /// Compress only where profitable: the kernel saving must clear the
-    /// gather/expand overhead (see [`RepeatTable::profitable`]).
+    /// gather, expand and table-build overhead (see
+    /// [`RepeatTable::profitable`]).
     Auto,
 }
 
@@ -96,6 +123,18 @@ impl SiteRepeats {
     /// Whether this mode builds repeat tables at all.
     pub fn enabled(self) -> bool {
         self != SiteRepeats::Off
+    }
+
+    /// The largest class count at which this mode compresses a node of
+    /// `sites` sites — also its saturation limit (see the module docs):
+    /// `Off` none, `On` one below the site count, `Auto` the cost
+    /// model's break-even ([`crate::cost::repeat_break_even_classes`]).
+    pub fn class_limit(self, sites: usize) -> usize {
+        match self {
+            SiteRepeats::Off => 0,
+            SiteRepeats::On => sites.saturating_sub(1),
+            SiteRepeats::Auto => crate::cost::repeat_break_even_classes(sites),
+        }
     }
 }
 
@@ -138,8 +177,8 @@ impl std::fmt::Display for SiteRepeats {
 }
 
 /// One child's per-site class ids for repeat-class construction: a tip
-/// contributes its 4-bit character codes, an inner node the site→class
-/// map of its own table.
+/// contributes its character codes, an inner node the site→class map
+/// of its own table.
 #[derive(Clone, Copy)]
 pub enum ClassSource<'a> {
     /// Tip child: 4-bit ambiguity codes, one per site.
@@ -150,27 +189,218 @@ pub enum ClassSource<'a> {
 }
 
 impl ClassSource<'_> {
-    #[inline]
-    fn class(&self, site: usize) -> u32 {
-        match self {
-            ClassSource::Tip(codes) => codes[site] as u32,
-            ClassSource::Inner(table) => table.site2class[site],
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             ClassSource::Tip(codes) => codes.len(),
             ClassSource::Inner(table) => table.num_sites(),
         }
     }
+
+    /// An exclusive upper bound on the class ids this source yields.
+    fn id_bound(&self) -> usize {
+        match self {
+            // The OR of all codes bounds their maximum; unlike `max`,
+            // the reduction vectorizes.
+            ClassSource::Tip(codes) => usize::from(codes.iter().fold(0, |acc, &c| acc | c)) + 1,
+            ClassSource::Inner(table) => table.num_classes(),
+        }
+    }
+
+    /// Whether this source alone proves that a table built on it has
+    /// more than `limit` classes (an inner child already above it).
+    fn exceeds(&self, limit: usize) -> bool {
+        match self {
+            ClassSource::Tip(_) => false,
+            ClassSource::Inner(table) => table.saturated || table.num_classes() > limit,
+        }
+    }
+}
+
+/// Largest `id_bound(left) × id_bound(right)` product that builds
+/// through the dense id array (512 KiB of entries: a tip against an
+/// inner child of up to 4096 classes); larger products go through the
+/// open-addressing map.
+const DENSE_MAX: usize = 1 << 16;
+
+/// The generation half of a [`ClassIdMap`] entry.
+const TAG_MASK: u64 = !0 << 32;
+
+/// Reusable scratch of [`RepeatTable::rebuild`]: the `(left, right)`
+/// pair → class id map, dense or open-addressing, and the per-class
+/// staging of one build. Every map entry holds its build's generation
+/// in the high 32 bits and the class id in the low 32, so entries left
+/// by earlier builds read as empty and a build never clears the map.
+#[derive(Debug)]
+pub(crate) struct ClassIdMap {
+    /// Odd multiplier of the open-addressing hash, drawn per map: the
+    /// pairs derive from the input alignment, and a fixed multiplier
+    /// would let a crafted alignment pile its pairs onto one probe
+    /// chain. Ids stay in first-occurrence order whatever it is.
+    multiplier: u64,
+    generation: u32,
+    /// Entry of pair `(l, r)` at `l · width + r`.
+    dense: Vec<u64>,
+    /// Open-addressing slots `[packed pair, generation | id]`.
+    hashed: Vec<[u64; 2]>,
+    /// First site of each class.
+    repr: Vec<u32>,
+    /// Member count of each class.
+    mult: Vec<u32>,
+}
+
+impl Default for ClassIdMap {
+    fn default() -> Self {
+        use std::hash::BuildHasher;
+        let seed = std::collections::hash_map::RandomState::new().hash_one(0u64);
+        ClassIdMap {
+            multiplier: seed | 1,
+            generation: 0,
+            dense: Vec::new(),
+            hashed: Vec::new(),
+            repr: Vec::new(),
+            mult: Vec::new(),
+        }
+    }
+}
+
+impl ClassIdMap {
+    /// Opens a new build generation and returns its entry tag.
+    fn next_tag(&mut self) -> u64 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Generation 0 marks empty entries: on wrap-around, stale
+            // entries could alias the new builds, so clear them once.
+            self.dense.fill(0);
+            self.hashed.fill([0; 2]);
+            self.generation = 1;
+        }
+        u64::from(self.generation) << 32
+    }
+}
+
+/// The pair → id lookup of one build, monomorphised per map kind.
+trait PairIds {
+    /// The id of pair `(l, r)`, inserting `next` when the pair is new.
+    fn id_or_insert(&mut self, l: u32, r: u32, next: u32) -> u32;
+}
+
+/// Dense id array over `id_bound(left) × id_bound(right)` pairs.
+struct DenseIds<'a> {
+    entries: &'a mut [u64],
+    width: usize,
+    tag: u64,
+}
+
+impl PairIds for DenseIds<'_> {
+    #[inline]
+    fn id_or_insert(&mut self, l: u32, r: u32, next: u32) -> u32 {
+        let e = &mut self.entries[l as usize * self.width + r as usize];
+        if *e & TAG_MASK == self.tag {
+            *e as u32
+        } else {
+            *e = self.tag | u64::from(next);
+            next
+        }
+    }
+}
+
+/// Linear-probing map keyed by the packed pair under a multiply-shift
+/// hash; `slots.len()` is a power of two at least twice the number of
+/// pairs a build may insert, so probes always end.
+struct HashedIds<'a> {
+    slots: &'a mut [[u64; 2]],
+    multiplier: u64,
+    shift: u32,
+    tag: u64,
+}
+
+impl PairIds for HashedIds<'_> {
+    #[inline]
+    fn id_or_insert(&mut self, l: u32, r: u32, next: u32) -> u32 {
+        let key = (u64::from(l) << 32) | u64::from(r);
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(self.multiplier) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot[1] & TAG_MASK != self.tag {
+                *slot = [key, self.tag | u64::from(next)];
+                return next;
+            }
+            if slot[0] == key {
+                return slot[1] as u32;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// The buffers one build pass fills, and the class count it may reach.
+struct Pass<'a> {
+    site2class: &'a mut [u32],
+    repr: &'a mut [u32],
+    mult: &'a mut [u32],
+    limit: usize,
+}
+
+impl Pass<'_> {
+    /// Runs the pass monomorphised over the two sources' id types.
+    fn run<M: PairIds>(
+        &mut self,
+        left: ClassSource<'_>,
+        right: ClassSource<'_>,
+        ids: &mut M,
+    ) -> Option<usize> {
+        match (left, right) {
+            (ClassSource::Tip(l), ClassSource::Tip(r)) => self.assign(l, r, ids),
+            (ClassSource::Tip(l), ClassSource::Inner(r)) => self.assign(l, &r.site2class, ids),
+            (ClassSource::Inner(l), ClassSource::Tip(r)) => self.assign(&l.site2class, r, ids),
+            (ClassSource::Inner(l), ClassSource::Inner(r)) => {
+                self.assign(&l.site2class, &r.site2class, ids)
+            }
+        }
+    }
+
+    /// Gives each site the id of its `(left, right)` pair, ids dense in
+    /// first-occurrence order, recording each class's first site and
+    /// member count. Returns the class count, or `None` as soon as it
+    /// would exceed `limit`.
+    #[inline]
+    fn assign<A, B, M>(&mut self, left: &[A], right: &[B], ids: &mut M) -> Option<usize>
+    where
+        A: Copy + Into<u32>,
+        B: Copy + Into<u32>,
+        M: PairIds,
+    {
+        let mut classes = 0u32;
+        let pairs = left.iter().zip(right);
+        for (i, ((&l, &r), s2c)) in pairs.zip(self.site2class.iter_mut()).enumerate() {
+            let id = ids.id_or_insert(l.into(), r.into(), classes);
+            if id == classes {
+                if id as usize == self.limit {
+                    return None;
+                }
+                self.repr[id as usize] = i as u32;
+                self.mult[id as usize] = 1;
+                classes += 1;
+            } else {
+                self.mult[id as usize] += 1;
+            }
+            *s2c = id;
+        }
+        Some(classes as usize)
+    }
 }
 
 /// Per-node repeat index table: the partition of this engine slice's
 /// sites into classes with identical induced subtree patterns at one
-/// inner node (for its current orientation).
-#[derive(Clone, Debug, PartialEq)]
+/// inner node (for its current orientation). A *saturated* table keeps
+/// only its site count (see the module docs).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RepeatTable {
+    /// Number of sites covered.
+    sites: usize,
+    /// More classes than the build's limit: no per-site vectors.
+    saturated: bool,
     /// Dense class id per site, ids assigned in first-occurrence order.
     site2class: Vec<u32>,
     /// Representative (first-occurrence) site per class.
@@ -180,54 +410,153 @@ pub struct RepeatTable {
 }
 
 impl RepeatTable {
-    /// Builds the table for a node from its two children's class
-    /// sources, in one hash pass over the `(left, right)` class pairs.
+    /// Builds the full table for a node from its two children's class
+    /// sources (no class limit, fresh scratch).
     pub fn build(left: ClassSource<'_>, right: ClassSource<'_>) -> Self {
+        let mut table = RepeatTable::default();
+        table.rebuild(left, right, usize::MAX, &mut ClassIdMap::default());
+        table
+    }
+
+    /// Rebuilds this table in place from its children's class sources,
+    /// reusing its vectors' capacity and `ids` as scratch. A table that
+    /// would get more than `limit` classes is left saturated instead —
+    /// without a pass over the sites when an inner child already
+    /// exceeds `limit` (counted in `core.repeats.saturated_skips`).
+    /// Every pass that runs is a `repeats.build` span and counts in
+    /// `core.repeats.table_builds`.
+    pub(crate) fn rebuild(
+        &mut self,
+        left: ClassSource<'_>,
+        right: ClassSource<'_>,
+        limit: usize,
+        ids: &mut ClassIdMap,
+    ) {
+        self.rebuild_with(left, right, limit, ids, DENSE_MAX);
+    }
+
+    /// [`RepeatTable::rebuild`] with the dense path taken up to
+    /// `dense_max` pairs (tests force either path through it).
+    fn rebuild_with(
+        &mut self,
+        left: ClassSource<'_>,
+        right: ClassSource<'_>,
+        limit: usize,
+        ids: &mut ClassIdMap,
+        dense_max: usize,
+    ) {
         let n = left.len();
         debug_assert_eq!(n, right.len(), "children cover different site ranges");
-        let mut site2class = Vec::with_capacity(n);
-        let mut repr = Vec::new();
-        let mut mult: Vec<u32> = Vec::new();
-        let mut ids: HashMap<u64, u32> = HashMap::with_capacity(n.min(1 << 16));
-        for i in 0..n {
-            let key = (u64::from(left.class(i)) << 32) | u64::from(right.class(i));
-            let next = repr.len() as u32;
-            let id = *ids.entry(key).or_insert(next);
-            if id == next {
-                repr.push(i as u32);
-                mult.push(0);
-            }
-            mult[id as usize] += 1;
-            site2class.push(id);
+        if left.exceeds(limit) || right.exceeds(limit) {
+            saturated_skips().add(1);
+            self.saturate(n);
+            return;
         }
-        RepeatTable {
-            site2class,
+        let _span = crate::span::enter("repeats.build");
+        table_builds().add(1);
+        let (bound_l, bound_r) = (left.id_bound(), right.id_bound());
+        let tag = ids.next_tag();
+        self.site2class.resize(n, 0);
+        if ids.repr.len() < n {
+            ids.repr.resize(n, 0);
+            ids.mult.resize(n, 0);
+        }
+        let ClassIdMap {
+            multiplier,
+            dense,
+            hashed,
             repr,
             mult,
+            ..
+        } = ids;
+        let mut pass = Pass {
+            site2class: &mut self.site2class,
+            repr,
+            mult,
+            limit,
+        };
+        let pairs = bound_l.saturating_mul(bound_r);
+        let classes = if pairs <= dense_max {
+            if dense.len() < pairs {
+                dense.resize(pairs, 0);
+            }
+            let mut map = DenseIds {
+                entries: dense,
+                width: bound_r,
+                tag,
+            };
+            pass.run(left, right, &mut map)
+        } else {
+            let cap = (2 * n.min(limit.saturating_add(1)))
+                .next_power_of_two()
+                .max(16);
+            if hashed.len() < cap {
+                hashed.resize(cap, [0; 2]);
+            }
+            let mut map = HashedIds {
+                slots: &mut hashed[..cap],
+                multiplier: *multiplier,
+                shift: 64 - cap.trailing_zeros(),
+                tag,
+            };
+            pass.run(left, right, &mut map)
+        };
+        match classes {
+            Some(c) => {
+                self.sites = n;
+                self.saturated = false;
+                self.repr.clear();
+                self.repr.extend_from_slice(&repr[..c]);
+                self.mult.clear();
+                self.mult.extend_from_slice(&mult[..c]);
+            }
+            None => self.saturate(n),
         }
+    }
+
+    /// Turns this table into a saturated one over `sites` sites,
+    /// keeping its vectors' capacity.
+    fn saturate(&mut self, sites: usize) {
+        self.sites = sites;
+        self.saturated = true;
+        self.site2class.clear();
+        self.repr.clear();
+        self.mult.clear();
+    }
+
+    /// Whether the table is saturated: it exceeded its build's class
+    /// limit, so neither it nor any table built on it compresses.
+    pub fn is_saturated(&self) -> bool {
+        self.saturated
     }
 
     /// Number of sites covered.
     pub fn num_sites(&self) -> usize {
-        self.site2class.len()
+        self.sites
     }
 
-    /// Number of distinct repeat classes.
+    /// Number of distinct repeat classes. A saturated table does not
+    /// know its count and reports one class per site.
     pub fn num_classes(&self) -> usize {
-        self.repr.len()
+        if self.saturated {
+            self.sites
+        } else {
+            self.repr.len()
+        }
     }
 
-    /// Dense class id per site.
+    /// Dense class id per site (empty when saturated).
     pub fn site2class(&self) -> &[u32] {
         &self.site2class
     }
 
-    /// Representative (first-occurrence) site per class.
+    /// Representative (first-occurrence) site per class (empty when
+    /// saturated).
     pub fn repr_sites(&self) -> &[u32] {
         &self.repr
     }
 
-    /// Member count per class.
+    /// Member count per class (empty when saturated).
     pub fn multiplicities(&self) -> &[u32] {
         &self.mult
     }
@@ -242,31 +571,19 @@ impl RepeatTable {
         }
     }
 
-    /// Whether compressing this node pays for the gather/expand copies.
-    ///
-    /// On a calibrated host ([`crate::cost::set_calibration`], from the
-    /// cached `HOST_ROOFLINE.json` probes) the rule is the measured
-    /// cost model: compress iff `classes ≤ sites · (1 − r)` where `r`
-    /// is the expansion-copy : kernel-work time ratio
-    /// ([`crate::cost::repeat_overhead_ratio`]) — each skipped class
-    /// must save at least the per-site expansion copy it costs.
-    /// Uncalibrated hosts keep the historical fixed rule: at least a
-    /// 20% site reduction (`classes ≤ 0.8 · sites`), which is the
-    /// measured rule evaluated at r = 0.2.
+    /// Whether compressing this node pays for everything compression
+    /// costs: `classes ≤` [`crate::cost::repeat_break_even_classes`]`(sites)`,
+    /// the break-even of the kernel work saved against the gather,
+    /// expansion and table-build traffic spent (weighted by the
+    /// measured bandwidths on a calibrated host).
     pub fn profitable(&self) -> bool {
-        match crate::cost::repeat_overhead_ratio() {
-            Some(r) => (self.num_classes() as f64) <= (self.num_sites() as f64) * (1.0 - r),
-            None => self.num_classes() * 5 <= self.num_sites() * 4,
-        }
+        self.compresses(SiteRepeats::Auto)
     }
 
-    /// Whether a node with this table runs compressed under `mode`.
+    /// Whether a node with this table runs compressed under `mode`:
+    /// at most [`SiteRepeats::class_limit`] classes.
     pub fn compresses(&self, mode: SiteRepeats) -> bool {
-        match mode {
-            SiteRepeats::Off => false,
-            SiteRepeats::On => self.num_classes() < self.num_sites(),
-            SiteRepeats::Auto => self.profitable(),
-        }
+        !self.saturated && self.sites > 0 && self.num_classes() <= mode.class_limit(self.sites)
     }
 
     /// [`RepeatTable::compresses`] for an engine decision site: when
@@ -344,23 +661,153 @@ impl RepeatTable {
     }
 }
 
-/// Cache key describing the state a node's repeat table was built in.
-/// Deliberately smaller than the CLA cache key: tables depend only on
-/// topology and tip bindings — never on branch lengths or the model —
-/// so Newton branch smoothing (the search hot path) reuses them across
-/// every CLA recomputation.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct RepeatKey {
-    /// Orientation the table's children were taken for.
-    pub toward_edge: EdgeId,
-    /// The two children, canonicalized tip-first.
-    pub child_nodes: [NodeId; 2],
-    /// Children's own table stamps (0 for tips); a rebuilt child table
-    /// cascades invalidation upward.
-    pub child_table_stamps: [u64; 2],
-    /// Tip-binding epoch: re-binding alignment rows to tree tips
-    /// invalidates every table.
-    pub tip_epoch: u64,
+/// Repeat tables each inner node keeps, one per recently seen tip set:
+/// a node has three orientations, and branch smoothing and SPR trials
+/// move the virtual root back and forth across it.
+const TABLES_PER_NODE: usize = 3;
+
+/// One cached table and the tip set it partitions the sites by.
+#[derive(Clone, Debug, Default)]
+struct CachedTable {
+    /// Bitset of the tree tip ids below the node (empty: never built).
+    tips: Vec<u64>,
+    /// Tip-binding epoch the table was built under.
+    epoch: u64,
+    /// Clock value of the last use; the least recently used is evicted.
+    last_use: u64,
+    table: RepeatTable,
+}
+
+/// A child of the node whose table [`RepeatTables::ensure`] provides.
+#[derive(Clone, Copy)]
+pub(crate) enum Child<'a> {
+    /// Tree tip with this id and these codes.
+    Tip(NodeId, &'a [u8]),
+    /// Inner node with this index, its own table already ensured.
+    Inner(usize),
+}
+
+/// The repeat tables of one engine's inner nodes.
+///
+/// Two sites share a class at a node iff their codes agree at every
+/// tip below it — however that subtree is resolved — so a table is a
+/// function of the node's tip set and the tip binding alone. Each node
+/// therefore caches its last [`TABLES_PER_NODE`] tables by tip set:
+/// moving the virtual root back across a node, or undoing an SPR
+/// trial, finds the table already built, and a rebuilt child never
+/// invalidates its ancestors' tables. Branch lengths and the model
+/// never enter the key, so Newton branch smoothing reuses every table.
+#[derive(Debug)]
+pub(crate) struct RepeatTables {
+    /// `u64` words per tip set.
+    words: usize,
+    nodes: Vec<[CachedTable; TABLES_PER_NODE]>,
+    /// Slot in use for each node's current orientation.
+    current: Vec<usize>,
+    clock: u64,
+    ids: ClassIdMap,
+    /// Scratch tip set.
+    tips: Vec<u64>,
+}
+
+impl RepeatTables {
+    /// Empty tables for `num_inner` nodes over `num_taxa` tips.
+    pub(crate) fn new(num_taxa: usize, num_inner: usize) -> Self {
+        RepeatTables {
+            words: num_taxa.div_ceil(64),
+            nodes: vec![Default::default(); num_inner],
+            current: vec![0; num_inner],
+            clock: 0,
+            ids: ClassIdMap::default(),
+            tips: Vec::new(),
+        }
+    }
+
+    /// Inner node `idx`'s table in its current orientation (the last
+    /// one [`RepeatTables::ensure`] provided).
+    pub(crate) fn table(&self, idx: usize) -> &RepeatTable {
+        &self.nodes[idx][self.current[idx]].table
+    }
+
+    fn source<'a>(&'a self, child: Child<'a>) -> ClassSource<'a> {
+        match child {
+            Child::Tip(_, codes) => ClassSource::Tip(codes),
+            Child::Inner(idx) => ClassSource::Inner(self.table(idx)),
+        }
+    }
+
+    /// Makes inner node `idx`'s current table the one for the tips
+    /// below `children` under binding `epoch`, building it (with class
+    /// limit `limit`) unless it is cached. Children must be ensured
+    /// first, as a post-order walk does. Returns whether it built.
+    pub(crate) fn ensure(
+        &mut self,
+        idx: usize,
+        children: [Child<'_>; 2],
+        epoch: u64,
+        limit: usize,
+    ) -> bool {
+        let mut tips = std::mem::take(&mut self.tips);
+        tips.clear();
+        tips.resize(self.words, 0);
+        for child in children {
+            match child {
+                Child::Tip(id, _) => tips[id / 64] |= 1 << (id % 64),
+                Child::Inner(c) => {
+                    let below = &self.nodes[c][self.current[c]].tips;
+                    for (t, b) in tips.iter_mut().zip(below) {
+                        *t |= b;
+                    }
+                }
+            }
+        }
+        self.clock += 1;
+        let slots = &self.nodes[idx];
+        let cached = slots
+            .iter()
+            .position(|s| s.epoch == epoch && s.tips == tips);
+        let slot = match cached {
+            Some(slot) => slot,
+            None => {
+                let lru = (1..TABLES_PER_NODE).fold(0, |lru, s| {
+                    if slots[s].last_use < slots[lru].last_use {
+                        s
+                    } else {
+                        lru
+                    }
+                });
+                let mut table = std::mem::take(&mut self.nodes[idx][lru].table);
+                self.rebuild_into(&mut table, children, limit);
+                let entry = &mut self.nodes[idx][lru];
+                entry.table = table;
+                entry.epoch = epoch;
+                std::mem::swap(&mut entry.tips, &mut tips);
+                lru
+            }
+        };
+        self.nodes[idx][slot].last_use = self.clock;
+        self.current[idx] = slot;
+        self.tips = tips;
+        cached.is_none()
+    }
+
+    /// Rebuilds `table` in place over two children's class sources
+    /// (the joint table of a root pair, or a node's own).
+    pub(crate) fn rebuild_into(
+        &mut self,
+        table: &mut RepeatTable,
+        children: [Child<'_>; 2],
+        limit: usize,
+    ) {
+        let mut ids = std::mem::take(&mut self.ids);
+        table.rebuild(
+            self.source(children[0]),
+            self.source(children[1]),
+            limit,
+            &mut ids,
+        );
+        self.ids = ids;
+    }
 }
 
 /// Reusable class-indexed staging buffers for compressed `newview`
@@ -575,6 +1022,19 @@ pub(crate) fn profitable_skips() -> &'static crate::metrics::Counter {
     C.get_or_init(|| crate::metrics::counter("core.repeats.profitable_skips"))
 }
 
+/// Repeat-table passes over the sites (node and root-fold tables).
+fn table_builds() -> &'static crate::metrics::Counter {
+    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
+    C.get_or_init(|| crate::metrics::counter("core.repeats.table_builds"))
+}
+
+/// Repeat tables saturated without a pass because a child already
+/// exceeded the class limit.
+fn saturated_skips() -> &'static crate::metrics::Counter {
+    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
+    C.get_or_init(|| crate::metrics::counter("core.repeats.saturated_skips"))
+}
+
 /// Cumulative per-engine compression effectiveness, surfaced through
 /// trace metadata and the CLI summary.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -587,6 +1047,9 @@ pub struct RepeatStats {
     pub sites: u64,
     /// Classes actually computed by compressed calls.
     pub classes: u64,
+    /// Node repeat tables built or saturated because no cached table
+    /// matched the node's tip set.
+    pub table_builds: u64,
 }
 
 impl RepeatStats {
@@ -734,14 +1197,307 @@ mod tests {
         assert!(profitable_skips().get() > skips0);
     }
 
+    /// `n` class ids drawn from `k` values by a fixed-seed generator.
+    fn random_ids(n: usize, k: u32, seed: u64) -> Vec<u32> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                // xorshift64*
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % k.max(1)
+            })
+            .collect()
+    }
+
+    /// The reference partition of `keys`: a `BTreeMap` from key to
+    /// first-occurrence id.
+    fn reference<K: Ord + Copy>(keys: &[K]) -> RepeatTable {
+        let mut ids = std::collections::BTreeMap::new();
+        let mut table = RepeatTable {
+            sites: keys.len(),
+            ..RepeatTable::default()
+        };
+        for (i, &key) in keys.iter().enumerate() {
+            let next = table.repr.len() as u32;
+            let id = *ids.entry(key).or_insert(next);
+            if id == next {
+                table.repr.push(i as u32);
+                table.mult.push(0);
+            }
+            table.mult[id as usize] += 1;
+            table.site2class.push(id);
+        }
+        table
+    }
+
+    /// Per-site class ids of a source, for building the reference.
+    fn ids_of(src: ClassSource<'_>) -> Vec<u32> {
+        match src {
+            ClassSource::Tip(codes) => codes.iter().map(|&c| u32::from(c)).collect(),
+            ClassSource::Inner(t) => t.site2class().to_vec(),
+        }
+    }
+
     #[test]
-    fn profitability_threshold_sits_at_twenty_percent() {
-        // 10 sites / 8 classes: exactly at the threshold.
-        let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(7) % 4)).collect();
-        let r: Vec<u8> = (0..10).map(|i| 1 << ((i.min(7) / 4) % 4)).collect();
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
-        assert_eq!(t.num_classes(), 8);
-        assert!(t.profitable());
-        assert!(t.compresses(SiteRepeats::Auto));
+    fn builder_matches_a_btreemap_reference_on_both_paths() {
+        // One map for every build: stale entries of earlier builds (and
+        // of the other path) must read as empty.
+        let mut ids = ClassIdMap::default();
+        let mut colliding = ClassIdMap {
+            multiplier: 1,
+            ..ClassIdMap::default()
+        };
+        let mut table = RepeatTable::default();
+        for n in [0usize, 1, 17, 5000] {
+            for (shape, seed) in [("random", 1u64), ("all-equal", 2), ("all-distinct", 3)] {
+                let (codes_l, codes_r, inner_l, inner_r) = match shape {
+                    "all-equal" => (vec![7u8; n], vec![7u8; n], vec![0u32; n], vec![0u32; n]),
+                    "all-distinct" => {
+                        let seq: Vec<u32> = (0..n as u32).collect();
+                        let codes: Vec<u8> = (0..n).map(|i| (i % 16) as u8).collect();
+                        (codes.clone(), codes, seq.clone(), seq)
+                    }
+                    _ => {
+                        let codes = |s| random_ids(n, 16, s).iter().map(|&c| c as u8).collect();
+                        // ~n/3 classes per inner child: the inner/inner
+                        // products exceed the dense bound at n = 5000.
+                        let k = (n as u32 / 3).max(1);
+                        (
+                            codes(seed),
+                            codes(seed + 10),
+                            random_ids(n, k, seed + 20),
+                            random_ids(n, k, seed + 30),
+                        )
+                    }
+                };
+                let inner_l = reference(&inner_l);
+                let inner_r = reference(&inner_r);
+                let sources = [
+                    (ClassSource::Tip(&codes_l), ClassSource::Tip(&codes_r)),
+                    (ClassSource::Tip(&codes_l), ClassSource::Inner(&inner_r)),
+                    (ClassSource::Inner(&inner_l), ClassSource::Tip(&codes_r)),
+                    (ClassSource::Inner(&inner_l), ClassSource::Inner(&inner_r)),
+                ];
+                for (l, r) in sources {
+                    let pairs: Vec<(u32, u32)> = ids_of(l).into_iter().zip(ids_of(r)).collect();
+                    let want = reference(&pairs);
+                    // Dense up to 8 MiB of entries (all products but the
+                    // largest inner/inner ones), then hashed throughout.
+                    for (path, dense_max) in [("dense", 1 << 20), ("hashed", 0)] {
+                        table.rebuild_with(l, r, usize::MAX, &mut ids, dense_max);
+                        assert_eq!(table, want, "n={n} {shape} {path}");
+                    }
+                    // A degenerate multiplier sends every small pair to
+                    // the same slot: one long probe chain, wrapping.
+                    if n < 5000 {
+                        table.rebuild_with(l, r, usize::MAX, &mut colliding, 0);
+                        assert_eq!(table, want, "n={n} {shape} colliding");
+                    }
+                    // The default path choice and the fresh-scratch
+                    // constructor agree too.
+                    table.rebuild(l, r, usize::MAX, &mut ids);
+                    assert_eq!(table, want, "n={n} {shape} default");
+                    assert_eq!(RepeatTable::build(l, r), want, "n={n} {shape} build");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generation_wrap_clears_stale_entries() {
+        let mut ids = ClassIdMap {
+            generation: u32::MAX - 1,
+            ..ClassIdMap::default()
+        };
+        let a: Vec<u8> = (0..40).map(|i| (i % 5) as u8).collect();
+        let b: Vec<u8> = (0..40).map(|i| (i % 3) as u8).collect();
+        let want = RepeatTable::build(ClassSource::Tip(&a), ClassSource::Tip(&b));
+        let mut t = RepeatTable::default();
+        for _ in 0..3 {
+            for dense_max in [usize::MAX, 0] {
+                t.rebuild_with(
+                    ClassSource::Tip(&a),
+                    ClassSource::Tip(&b),
+                    usize::MAX,
+                    &mut ids,
+                    dense_max,
+                );
+                assert_eq!(t, want);
+            }
+        }
+        assert!(ids.generation < 10, "wrapped past zero");
+    }
+
+    #[test]
+    fn builds_over_the_limit_saturate_and_saturation_propagates() {
+        let a: Vec<u8> = (0..64).map(|i| (i % 16) as u8).collect();
+        let b: Vec<u8> = (0..64).map(|i| (i / 16) as u8).collect();
+        let mut ids = ClassIdMap::default();
+        // 64 distinct pairs: a limit of 63 stops the pass mid-way.
+        let mut child = RepeatTable::default();
+        child.rebuild(ClassSource::Tip(&a), ClassSource::Tip(&b), 63, &mut ids);
+        assert!(child.is_saturated());
+        assert_eq!((child.num_sites(), child.num_classes()), (64, 64));
+        assert!(child.site2class().is_empty() && child.repr_sites().is_empty());
+        for mode in SiteRepeats::ALL {
+            assert!(!child.compresses(mode), "{mode}");
+        }
+        // A limit at the class count keeps the full table.
+        let mut full = RepeatTable::default();
+        full.rebuild(ClassSource::Tip(&a), ClassSource::Tip(&b), 64, &mut ids);
+        assert!(!full.is_saturated());
+        assert_eq!(full.num_classes(), 64);
+
+        // A parent of a saturated child saturates without a pass.
+        let (builds0, skips0) = (table_builds().get(), saturated_skips().get());
+        let mut parent = RepeatTable::default();
+        parent.rebuild(
+            ClassSource::Tip(&a),
+            ClassSource::Inner(&child),
+            63,
+            &mut ids,
+        );
+        assert!(parent.is_saturated());
+        assert!(saturated_skips().get() > skips0);
+        // An inner child above the limit saturates the parent just the
+        // same, even when it was built without a limit.
+        parent.rebuild(
+            ClassSource::Inner(&full),
+            ClassSource::Tip(&b),
+            10,
+            &mut ids,
+        );
+        assert!(parent.is_saturated());
+        // Skips are not passes (other tests may build concurrently, so
+        // only the skip side is checked exactly against this thread).
+        let _ = builds0;
+        // Rebuilding the saturated table in place restores it fully.
+        parent.rebuild(
+            ClassSource::Tip(&a),
+            ClassSource::Inner(&full),
+            64,
+            &mut ids,
+        );
+        assert_eq!(
+            parent,
+            RepeatTable::build(ClassSource::Tip(&a), ClassSource::Inner(&full))
+        );
+    }
+
+    #[test]
+    fn saturation_never_changes_a_compress_decision() {
+        // Random subtrees over a few hundred sites: the limited rebuild
+        // (what the engine runs) decides exactly like a full build.
+        let mut ids = ClassIdMap::default();
+        let (mut compressing, mut saturated) = (0, 0);
+        for seed in 0..40u64 {
+            let n = 300;
+            // Four tips drawn from `protos` prototype columns; each code
+            // is replaced by a random one with probability `noise`/16.
+            let protos = 1 + (seed as u32 * 7) % 120;
+            let noise = (seed % 4) as u32;
+            let matrix = random_ids(protos as usize * 4, 16, seed);
+            let proto_of = random_ids(n, protos, seed + 1000);
+            let tips: Vec<Vec<u8>> = (0..4u64)
+                .map(|t| {
+                    let flip = random_ids(n, 16, 2000 + seed * 4 + t);
+                    let random = random_ids(n, 16, 3000 + seed * 4 + t);
+                    (0..n)
+                        .map(|i| {
+                            let code = if flip[i] < noise {
+                                random[i]
+                            } else {
+                                matrix[proto_of[i] as usize * 4 + t as usize]
+                            };
+                            code as u8
+                        })
+                        .collect()
+                })
+                .collect();
+            for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+                let limit = mode.class_limit(n);
+                let mut ab = RepeatTable::default();
+                ab.rebuild(
+                    ClassSource::Tip(&tips[0]),
+                    ClassSource::Tip(&tips[1]),
+                    limit,
+                    &mut ids,
+                );
+                let mut cd = RepeatTable::default();
+                cd.rebuild(
+                    ClassSource::Tip(&tips[2]),
+                    ClassSource::Tip(&tips[3]),
+                    limit,
+                    &mut ids,
+                );
+                let mut root = RepeatTable::default();
+                root.rebuild(
+                    ClassSource::Inner(&ab),
+                    ClassSource::Inner(&cd),
+                    limit,
+                    &mut ids,
+                );
+                let full_ab =
+                    RepeatTable::build(ClassSource::Tip(&tips[0]), ClassSource::Tip(&tips[1]));
+                let full_cd =
+                    RepeatTable::build(ClassSource::Tip(&tips[2]), ClassSource::Tip(&tips[3]));
+                let full_root =
+                    RepeatTable::build(ClassSource::Inner(&full_ab), ClassSource::Inner(&full_cd));
+                for (got, want) in [(&ab, &full_ab), (&cd, &full_cd), (&root, &full_root)] {
+                    assert_eq!(
+                        got.compresses(mode),
+                        want.compresses(mode),
+                        "seed {seed} {mode}"
+                    );
+                    if !got.is_saturated() {
+                        assert_eq!(got, want, "seed {seed} {mode}");
+                    }
+                    compressing += usize::from(got.compresses(mode));
+                    saturated += usize::from(got.is_saturated());
+                }
+            }
+        }
+        assert!(
+            compressing > 10 && saturated > 10,
+            "{compressing} {saturated}"
+        );
+    }
+
+    /// A table of exactly `k` classes over `n` sites.
+    fn table_with_classes(n: usize, k: u32) -> RepeatTable {
+        let ids: Vec<u32> = (0..n as u32).map(|i| i % k).collect();
+        let zeros = vec![0u8; n];
+        RepeatTable::build(
+            ClassSource::Inner(&reference(&ids)),
+            ClassSource::Tip(&zeros),
+        )
+    }
+
+    #[test]
+    fn profitability_break_even_sits_near_27_percent() {
+        // Unit tests run uncalibrated: equal bandwidths, so the
+        // break-even is (396 − 136 − 12) / (396 + 528) = 248 / 924.
+        let f = crate::cost::repeat_break_even();
+        assert!((f - 248.0 / 924.0).abs() < 1e-15, "{f}");
+        assert!((0.26..0.27).contains(&f), "{f}");
+        // 1000 sites: 268 classes (0.268) pay, 269 (0.269) do not.
+        assert_eq!(crate::cost::repeat_break_even_classes(1000), 268);
+        let at = table_with_classes(1000, 268);
+        assert_eq!(at.num_classes(), 268);
+        assert!(at.profitable() && at.compresses(SiteRepeats::Auto));
+        let above = table_with_classes(1000, 269);
+        assert!(!above.profitable() && !above.compresses(SiteRepeats::Auto));
+        // `On` still compresses anything below one class per site.
+        assert!(above.compresses(SiteRepeats::On));
+        // Exact break-evens stay exact: 924 sites allow 248 classes.
+        assert_eq!(crate::cost::repeat_break_even_classes(924), 248);
+        assert!(table_with_classes(924, 248).profitable());
+        assert!(!table_with_classes(924, 249).profitable());
+        // The saturation limit is the same rule.
+        assert_eq!(SiteRepeats::Auto.class_limit(1000), 268);
+        assert_eq!(SiteRepeats::On.class_limit(1000), 999);
+        assert_eq!(SiteRepeats::Off.class_limit(1000), 0);
     }
 }

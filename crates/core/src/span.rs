@@ -9,6 +9,13 @@
 //! events are overwritten — a long run keeps the most recent window,
 //! and the drop count stays exact.
 //!
+//! Rings outlive their threads: when a recording thread exits, its
+//! ring goes to a free list, and the next thread that records takes it
+//! over instead of allocating a new one. The new owner relabels the
+//! track, and its snapshot, `recorded` and `dropped` count only events
+//! from the takeover on, so a label never owns another thread's
+//! events. The exited thread's events stay exportable until then.
+//!
 //! Spans nest naturally through RAII: [`enter`] records a `Begin` event
 //! and returns a [`SpanGuard`] whose `Drop` records the matching `End`.
 //! Because guards are dropped in LIFO order, each thread's event stream
@@ -35,8 +42,9 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default per-thread ring capacity (events). At ~40 bytes per slot
-/// this is ≈1.3 MiB per recording thread; the window comfortably holds
-/// the most recent SPR round of a large search.
+/// this is ≈1.3 MiB per concurrently recording thread (rings of exited
+/// threads are reused); the window comfortably holds the most recent
+/// SPR round of a large search.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
 /// Whether an event opens or closes a span.
@@ -158,8 +166,14 @@ impl SpanRing {
     /// concurrently overwriting are skipped (they are being dropped
     /// anyway).
     pub fn snapshot(&self) -> Vec<SpanEvent> {
+        self.snapshot_since(0)
+    }
+
+    /// [`Self::snapshot`] restricted to events with index `origin` or
+    /// later — the events of a recycled ring's current owner.
+    pub fn snapshot_since(&self, origin: u64) -> Vec<SpanEvent> {
         let head = self.head.load(Ordering::Acquire);
-        let start = head.saturating_sub(self.slots.len() as u64);
+        let start = head.saturating_sub(self.slots.len() as u64).max(origin);
         let mut out = Vec::with_capacity((head - start) as usize);
         for i in start..head {
             let slot = &self.slots[(i & self.mask) as usize];
@@ -268,10 +282,20 @@ mod recorder {
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
 
-    /// One thread's registered ring plus its human-readable label.
+    /// One registered ring plus its current owner.
     pub(super) struct Track {
-        label: Mutex<String>,
+        owner: Mutex<Owner>,
         ring: SpanRing,
+    }
+
+    /// The thread a [`Track`] currently records for.
+    struct Owner {
+        /// Human-readable thread label.
+        label: String,
+        /// Index of the owner's first event: a recycled ring keeps
+        /// counting from where its previous owner stopped, and only
+        /// events from here on belong to this owner.
+        origin: u64,
     }
 
     static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -281,22 +305,59 @@ mod recorder {
         REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
     }
 
-    thread_local! {
-        static CURRENT: Arc<Track> = register_current();
+    /// Tracks of exited threads, ready for the next thread to record.
+    fn free_tracks() -> &'static Mutex<Vec<Arc<Track>>> {
+        static FREE: OnceLock<Mutex<Vec<Arc<Track>>>> = OnceLock::new();
+        FREE.get_or_init(|| Mutex::new(Vec::new()))
     }
 
-    fn register_current() -> Arc<Track> {
+    /// The calling thread's handle on its track; returns the track to
+    /// the free list when the thread exits.
+    struct Handle(Arc<Track>);
+
+    impl Drop for Handle {
+        fn drop(&mut self) {
+            if let Ok(mut free) = free_tracks().lock() {
+                free.push(Arc::clone(&self.0));
+            }
+        }
+    }
+
+    thread_local! {
+        static CURRENT: Handle = register_current();
+    }
+
+    /// Gives the calling thread a track: an exited thread's, relabelled
+    /// and restarted at its ring's current head, or a new one.
+    fn register_current() -> Handle {
         let mut reg = registry().lock().unwrap();
         let label = std::thread::current()
             .name()
             .map(str::to_string)
             .unwrap_or_else(|| format!("thread{}", reg.len()));
-        let track = Arc::new(Track {
-            label: Mutex::new(label),
-            ring: SpanRing::with_capacity(DEFAULT_RING_CAPACITY),
-        });
-        reg.push(Arc::clone(&track));
-        track
+        let recycled = free_tracks()
+            .lock()
+            .expect("no thread panics holding the free list")
+            .pop();
+        let track = match recycled {
+            Some(track) => {
+                let origin = track.ring.recorded();
+                *track
+                    .owner
+                    .lock()
+                    .expect("no thread panics holding an owner") = Owner { label, origin };
+                track
+            }
+            None => {
+                let track = Arc::new(Track {
+                    owner: Mutex::new(Owner { label, origin: 0 }),
+                    ring: SpanRing::with_capacity(DEFAULT_RING_CAPACITY),
+                });
+                reg.push(Arc::clone(&track));
+                track
+            }
+        };
+        Handle(track)
     }
 
     pub(super) fn enabled() -> bool {
@@ -308,22 +369,31 @@ mod recorder {
     }
 
     pub(super) fn set_thread_label(label: &str) {
-        CURRENT.with(|t| *t.label.lock().unwrap() = label.to_string());
+        CURRENT.with(|t| {
+            t.0.owner
+                .lock()
+                .expect("no thread panics holding an owner")
+                .label = label.to_string();
+        });
     }
 
     pub(super) fn record(name: &'static str, phase: SpanPhase) {
         let t_ns = super::epoch_ns();
-        CURRENT.with(|t| t.ring.push(SpanEvent { name, phase, t_ns }));
+        CURRENT.with(|t| t.0.ring.push(SpanEvent { name, phase, t_ns }));
     }
 
     pub(super) fn snapshot_all() -> Vec<TrackSnapshot> {
         let reg = registry().lock().unwrap();
         reg.iter()
-            .map(|t| TrackSnapshot {
-                label: t.label.lock().unwrap().clone(),
-                events: t.ring.snapshot(),
-                recorded: t.ring.recorded(),
-                dropped: t.ring.dropped(),
+            .map(|t| {
+                let owner = t.owner.lock().expect("no thread panics holding an owner");
+                let recorded = t.ring.recorded() - owner.origin;
+                TrackSnapshot {
+                    label: owner.label.clone(),
+                    events: t.ring.snapshot_since(owner.origin),
+                    recorded,
+                    dropped: recorded.saturating_sub(t.ring.capacity() as u64),
+                }
             })
             .collect()
     }

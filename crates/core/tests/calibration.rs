@@ -18,6 +18,15 @@ use plf_core::{Blocking, EngineConfig, KernelKind, KernelOp, LikelihoodEngine, S
 /// must update this pin.
 const EXPAND_BYTES_PER_SITE: f64 = 4.0 + 128.0 + 4.0;
 
+/// Per-class gather bytes of an inner/inner compressed newview: two
+/// children × (read + write) × (128 B values + 4 B scale). Mirrors
+/// `cost::GATHER_BYTES_PER_CLASS`.
+const GATHER_BYTES_PER_CLASS: f64 = 2.0 * 2.0 * (128.0 + 4.0);
+
+/// Per-site bytes of a repeat-table build: two child class ids read,
+/// one written. Mirrors `cost::BUILD_BYTES_PER_SITE`.
+const BUILD_BYTES_PER_SITE: f64 = 12.0;
+
 /// A five-taxon alignment of `protos` prototype columns cycled over
 /// `width` sites, built through `from_parts` (no pattern dedup) so the
 /// joint root classes genuinely repeat.
@@ -40,9 +49,12 @@ fn repeat_heavy(protos: usize, width: usize) -> CompressedAlignment {
 fn calibration_drives_block_size_and_repeat_profitability() {
     // --- Uncalibrated fallbacks -------------------------------------
     assert!(cost::calibration().is_none());
+    let kernel_bytes = KernelOp::NewviewIi.cost(1).bytes() as f64;
+    let equal_bandwidths = (kernel_bytes - EXPAND_BYTES_PER_SITE - BUILD_BYTES_PER_SITE)
+        / (kernel_bytes + GATHER_BYTES_PER_CLASS);
     assert!(
-        cost::repeat_overhead_ratio().is_none(),
-        "uncalibrated hosts must fall back to the fixed 20% rule"
+        (cost::repeat_break_even() - equal_bandwidths).abs() < 1e-15,
+        "uncalibrated hosts must use the byte-model break-even at equal bandwidths"
     );
     // 1 MiB assumed cache / (128 B * 4 working columns) = 2048 sites.
     assert_eq!(block_sites(), 2048);
@@ -78,19 +90,27 @@ fn calibration_drives_block_size_and_repeat_profitability() {
         assert_eq!(Blocking::Off.resolve(usize::MAX), None);
     }
 
-    // --- Derived expansion-overhead ratio ---------------------------
-    let kernel_bytes = KernelOp::NewviewIi.cost(1).bytes() as f64;
-    let expected = ((EXPAND_BYTES_PER_SITE / cal.copy_mbps as f64)
-        / (kernel_bytes / cal.kernel_mbps as f64))
-        .clamp(0.01, 0.95);
-    let r = cost::repeat_overhead_ratio().expect("both probes present");
-    assert!((r - expected).abs() < 1e-12, "{r} vs {expected}");
-    assert!((0.01..=0.95).contains(&r));
+    // --- Derived break-even -----------------------------------------
+    // The kernel term at streaming speed, the copy terms (expansion,
+    // table build, gather) at copy speed.
+    let k = kernel_bytes / cal.kernel_mbps as f64;
+    let copy = cal.copy_mbps as f64;
+    let expected = (k - (EXPAND_BYTES_PER_SITE + BUILD_BYTES_PER_SITE) / copy)
+        / (k + GATHER_BYTES_PER_CLASS / copy);
+    let f = cost::repeat_break_even();
+    assert!((f - expected).abs() < 1e-12, "{f} vs {expected}");
+    // Copies at half the kernel's speed leave far less room than equal
+    // bandwidths do.
+    assert!(0.0 < f && f < equal_bandwidths, "{f}");
+    assert_eq!(
+        cost::repeat_break_even_classes(10_000),
+        (10_000.0 * expected).floor() as usize
+    );
 
     // --- End-to-end under the measured rule -------------------------
-    // The calibrated threshold replaces the fixed 20% rule inside
-    // RepeatTable::profitable; Auto engines must still bit-match Off
-    // on both the repeat decision and the blocked traversal.
+    // The calibrated break-even drives RepeatTable::profitable; Auto
+    // engines must still bit-match Off on both the repeat decision and
+    // the blocked traversal.
     let tree = newick::parse("((a:0.1,b:0.12):0.1,c:0.15,(d:0.1,e:0.11):0.13);").unwrap();
     let aln = repeat_heavy(4, 1100); // > one 1024-site block
     let mk = |site_repeats, blocking| {
@@ -113,7 +133,7 @@ fn calibration_drives_block_size_and_repeat_profitability() {
         assert_eq!(a.to_bits(), b.to_bits(), "edge {edge}: {a} vs {b}");
     }
     if SiteRepeats::env_override().is_none() && Blocking::env_override().is_none() {
-        // 4 classes on 1100 sites clears any clamped threshold, so the
+        // 4 classes on 1100 sites clears the calibrated break-even, so the
         // Auto engine must actually have engaged the compressed path
         // under the measured rule (not just matched bits).
         assert!(auto.repeat_stats().compressed_calls > 0);

@@ -128,9 +128,11 @@ FLOP/s (FMA chains), streamed copy throughput and the per-core cache
 size, and caches them with host provenance in HOST_ROOFLINE.json
 (--out overrides, --force re-measures); once the cache exists,
 evaluate/search stamp the peaks into the trace meta so trace-report
-can compute % of roofline, the measured copy/kernel throughput ratio
-replaces the fixed 20% site-repeat profitability rule, and the cache
-size sets the traversal block size.
+can compute % of roofline, the measured copy and kernel throughputs
+weight the site-repeat break-even (compress a node iff classes * (K +
+G) <= sites * (K - X - B): kernel bytes saved against expansion,
+table-build and gather bytes spent; equal bandwidths are assumed
+otherwise), and the cache size sets the traversal block size.
 bench-trend aggregates the committed BENCH_*.json microbench artifacts
 into a per-cell history table; --gate fails when the newest file is
 >10% slower than the best prior PR on any unwaived cell (waivers:
@@ -161,7 +163,8 @@ micsim's modeled AllReduce latency.";
 /// triad and copy throughputs drive the measured site-repeat
 /// profitability model, and the per-core cache size drives traversal
 /// block sizing. First-wins; a missing or pre-copy-probe cache leaves
-/// the built-in defaults (fixed 20% rule, 1 MiB block budget) active.
+/// the built-in defaults (the break-even at equal copy and kernel
+/// bandwidths, 1 MiB block budget) active.
 fn seed_calibration() {
     if let Some(r) =
         plf_prof::roofline::load_cached(std::path::Path::new(plf_prof::roofline::CACHE_FILE))

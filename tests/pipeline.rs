@@ -4,7 +4,7 @@
 use phylomic::bio::CompressedAlignment;
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::{run_replicated, ForkJoinEvaluator};
-use phylomic::plf::{EngineConfig, KernelKind, LikelihoodEngine};
+use phylomic::plf::{EngineConfig, KernelKind, LikelihoodEngine, SiteRepeats};
 use phylomic::search::{Evaluator, MlSearch, SearchConfig};
 use phylomic::seqgen::simulate_alignment;
 use phylomic::tree::build::{default_names, random_tree};
@@ -13,9 +13,20 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn simulated(seed: u64, taxa: usize, sites: usize) -> (Tree, CompressedAlignment) {
+    simulated_on(seed, taxa, sites, 0.13)
+}
+
+/// [`simulated`] on a random tree of the given mean branch length:
+/// short branches make subtree patterns repeat.
+fn simulated_on(
+    seed: u64,
+    taxa: usize,
+    sites: usize,
+    mean_length: f64,
+) -> (Tree, CompressedAlignment) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let names = default_names(taxa);
-    let tree = random_tree(&names, 0.13, &mut rng).unwrap();
+    let tree = random_tree(&names, mean_length, &mut rng).unwrap();
     let gtr = Gtr::new(GtrParams {
         rates: [1.2, 3.0, 0.8, 1.1, 3.2, 1.0],
         freqs: [0.28, 0.22, 0.23, 0.27],
@@ -54,6 +65,48 @@ fn full_pipeline_recovers_true_tree() {
         result.log_likelihood,
         r_true.log_likelihood
     );
+}
+
+#[test]
+fn whole_search_is_bit_identical_across_site_repeat_modes() {
+    // A repeat-heavy alignment (short branches: most subtrees compress)
+    // and a uniform one (most tables saturate); model optimisation on,
+    // so tables are reused across model passes and rebuilt by SPR.
+    for (what, mean_length) in [("repeat-heavy", 0.01), ("uniform", 0.13)] {
+        let (true_tree, aln) = simulated_on(3003, 12, 1_500, mean_length);
+        let names = true_tree.tip_names().to_vec();
+        let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(9)).unwrap();
+        let search = MlSearch::new(SearchConfig {
+            max_rounds: 2,
+            optimize_model: true,
+            ..Default::default()
+        });
+        let run = |site_repeats| {
+            let cfg = EngineConfig {
+                site_repeats,
+                ..EngineConfig::default()
+            };
+            let mut tree = start.clone();
+            let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
+            let result = search.run(&mut engine, &mut tree);
+            (result, tree)
+        };
+        let (off, off_tree) = run(SiteRepeats::Off);
+        for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+            let (got, tree) = run(mode);
+            assert_eq!(
+                got.log_likelihood.to_bits(),
+                off.log_likelihood.to_bits(),
+                "{what} {mode}: logL {} vs off {}",
+                got.log_likelihood,
+                off.log_likelihood
+            );
+            assert_eq!(got.rounds, off.rounds, "{what} {mode}: rounds");
+            assert_eq!(got.spr_evaluated, off.spr_evaluated, "{what} {mode}");
+            assert_eq!(got.spr_accepted, off.spr_accepted, "{what} {mode}");
+            assert_eq!(tree.rf_distance(&off_tree), 0, "{what} {mode}: topology");
+        }
+    }
 }
 
 #[test]
